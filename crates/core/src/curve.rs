@@ -8,10 +8,10 @@
 //! maximum over cheaper SKUs (a cheaper dominating SKU always exists, so
 //! showing the raw dip would only invite a strictly worse choice).
 
-use doppler_catalog::Sku;
+use doppler_catalog::{ResourceCaps, Sku};
 use doppler_telemetry::PerfHistory;
 
-use crate::throttling::throttling_probability;
+use crate::throttling::throttling_probabilities;
 
 /// One SKU's position on a price-performance curve.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -47,12 +47,11 @@ impl PricePerformanceCurve {
     /// Build the curve for a workload over candidate SKUs, using each SKU's
     /// own capacities and compute price.
     pub fn generate(history: &PerfHistory, skus: &[&Sku]) -> PricePerformanceCurve {
+        let caps: Vec<ResourceCaps> = skus.iter().map(|sku| sku.caps).collect();
         let scored = skus
             .iter()
-            .map(|sku| {
-                let p = throttling_probability(history, &sku.caps);
-                (sku.id.to_string(), sku.monthly_cost(), 1.0 - p)
-            })
+            .zip(throttling_probabilities(history, &caps))
+            .map(|(sku, p)| (sku.id.to_string(), sku.monthly_cost(), 1.0 - p))
             .collect();
         PricePerformanceCurve::from_scored(scored)
     }
@@ -61,9 +60,7 @@ impl PricePerformanceCurve {
     /// triples — the entry point for the MI flow, where both capacity and
     /// cost are adjusted by the storage layout.
     pub fn from_scored(mut scored: Vec<(String, f64, f64)>) -> PricePerformanceCurve {
-        scored.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1).expect("finite costs").then_with(|| a.0.cmp(&b.0))
-        });
+        scored.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
         let mut points = Vec::with_capacity(scored.len());
         let mut envelope: f64 = 0.0;
         for (sku_id, monthly_cost, raw_score) in scored {

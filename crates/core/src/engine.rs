@@ -113,10 +113,8 @@ impl DopplerEngine {
         records: &[TrainingRecord],
     ) -> DopplerEngine {
         let dims = profiled_dimensions(config.deployment);
-        let weights: Vec<Vec<f64>> =
-            records.iter().map(|r| config.negotiability.weights(&r.history, dims)).collect();
-        let bits: Vec<Vec<bool>> =
-            records.iter().map(|r| config.negotiability.bits(&r.history, dims)).collect();
+        let (weights, bits): (Vec<Vec<f64>>, Vec<Vec<bool>>) =
+            records.iter().map(|r| config.negotiability.profile(&r.history, dims)).unzip();
         let (grouping, labels) = if records.is_empty() {
             (FittedGrouping::Enumeration { n_dims: dims.len() }, Vec::new())
         } else {
@@ -196,8 +194,7 @@ impl DopplerEngine {
     /// Profile, group, and recommend.
     pub fn recommend(&self, history: &PerfHistory, layout: Option<&FileLayout>) -> Recommendation {
         let dims = self.dims();
-        let weights = self.config.negotiability.weights(history, dims);
-        let bits = self.config.negotiability.bits(history, dims);
+        let (weights, bits) = self.config.negotiability.profile(history, dims);
         let group = self.grouping.assign(&weights, &bits);
         let preferred_p = self.model.preferred_p(group);
 

@@ -209,9 +209,10 @@ pub fn select_with_slack(
     // Constraint infeasible: fall back to the most performant point. The
     // comparator treats equal scores as `Greater` so `max_by` keeps the
     // first (cheapest) maximal point instead of its default last-wins.
-    curve.points().iter().max_by(|a, b| {
-        a.score.partial_cmp(&b.score).expect("finite scores").then(std::cmp::Ordering::Greater)
-    })
+    curve
+        .points()
+        .iter()
+        .max_by(|a, b| a.score.total_cmp(&b.score).then(std::cmp::Ordering::Greater))
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use doppler_stats::descriptive::max;
 use doppler_telemetry::{PerfDimension, PerfHistory};
 
 use crate::curve::PricePerformanceCurve;
-use crate::throttling::throttling_probability;
+use crate::throttling::throttling_probabilities;
 
 /// The §3.2 Step-1 satisfaction fraction ("chosen based on file layout
 /// analysis of current on-cloud Azure SQL MI resources").
@@ -63,7 +63,8 @@ pub fn mi_curve(
 
     // Step 2: instance-level curve with layout-adjusted GP capacities.
     let total_data = layout.total_gib();
-    let mut scored = Vec::new();
+    let mut priced = Vec::new();
+    let mut caps = Vec::new();
     for sku in catalog.for_deployment(DeploymentType::SqlMi) {
         if restricted_to_bc && sku.tier == ServiceTier::GeneralPurpose {
             continue;
@@ -71,19 +72,24 @@ pub fn mi_curve(
         if sku.caps.max_data_gb < total_data {
             continue; // the instance cannot hold the data at all
         }
-        let mut caps = sku.caps;
+        let mut sku_caps = sku.caps;
         let monthly = match sku.tier {
             ServiceTier::GeneralPurpose => {
-                caps.iops = gp_iops_limit;
-                caps.throughput_mbps = storage.total_throughput_mibps();
+                sku_caps.iops = gp_iops_limit;
+                sku_caps.throughput_mbps = storage.total_throughput_mibps();
                 rates.monthly_with_storage(sku, &storage)
             }
             // BC uses local SSD: SKU-constant IO, no premium-disk rent.
             ServiceTier::BusinessCritical => sku.monthly_cost(),
         };
-        let p = throttling_probability(history, &caps);
-        scored.push((sku.id.to_string(), monthly, 1.0 - p));
+        priced.push((sku.id.to_string(), monthly));
+        caps.push(sku_caps);
     }
+    let scored = priced
+        .into_iter()
+        .zip(throttling_probabilities(history, &caps))
+        .map(|((sku_id, monthly), p)| (sku_id, monthly, 1.0 - p))
+        .collect();
     Some(MiAssessment {
         storage,
         restricted_to_bc,

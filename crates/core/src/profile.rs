@@ -84,45 +84,46 @@ impl NegotiabilityStrategy {
     /// Every weight lies in `[0, 1]`, higher = more negotiable. Most
     /// strategies emit one weight; the combined strategy emits two.
     pub fn dimension_weights(&self, values: &[f64]) -> Vec<f64> {
-        match *self {
-            NegotiabilityStrategy::Thresholding { .. } => {
-                vec![1.0 - spike_dwell_fraction(values)]
-            }
-            NegotiabilityStrategy::MinMaxScalerAuc { .. } => vec![minmax_scaled_auc(values)],
-            NegotiabilityStrategy::MaxScalerAuc { .. } => vec![max_scaled_auc(values)],
-            NegotiabilityStrategy::OutlierPercentage { .. } => {
-                // Outlier fractions live near 0; stretch them so clustering
-                // sees the contrast (3σ outliers cap out around a few %).
-                vec![(outlier_fraction(values, 3.0) * 25.0).min(1.0)]
-            }
-            NegotiabilityStrategy::StlVarianceDecomposition { period, .. } => {
-                let explained = stl_decompose(values, &StlConfig { period, ..Default::default() })
-                    .map(|d| d.variance_explained())
-                    // Short series: fall back to "unstructured".
-                    .unwrap_or(0.0);
-                vec![1.0 - explained]
-            }
-            NegotiabilityStrategy::MinMaxAucWithThresholding { .. } => {
-                vec![minmax_scaled_auc(values), 1.0 - spike_dwell_fraction(values)]
-            }
-        }
+        self.dimension_profile(values).0
     }
 
     /// Boolean negotiability of one dimension's series.
     pub fn dimension_bit(&self, values: &[f64]) -> bool {
+        self.dimension_profile(values).1
+    }
+
+    /// One dimension's weight(s) and bit, both derived from the strategy's
+    /// one statistic of the series, which is measured once.
+    fn dimension_profile(&self, values: &[f64]) -> (Vec<f64>, bool) {
         match *self {
-            NegotiabilityStrategy::Thresholding { rho }
-            | NegotiabilityStrategy::MinMaxAucWithThresholding { rho, .. } => {
-                spike_dwell_fraction(values) < rho
+            NegotiabilityStrategy::Thresholding { rho } => {
+                let dwell = spike_dwell_fraction(values);
+                (vec![1.0 - dwell], dwell < rho)
             }
-            NegotiabilityStrategy::MinMaxScalerAuc { cut } => minmax_scaled_auc(values) > cut,
-            NegotiabilityStrategy::MaxScalerAuc { cut } => max_scaled_auc(values) > cut,
-            NegotiabilityStrategy::OutlierPercentage { cut } => outlier_fraction(values, 3.0) > cut,
+            NegotiabilityStrategy::MinMaxScalerAuc { cut } => {
+                let auc = minmax_scaled_auc(values);
+                (vec![auc], auc > cut)
+            }
+            NegotiabilityStrategy::MaxScalerAuc { cut } => {
+                let auc = max_scaled_auc(values);
+                (vec![auc], auc > cut)
+            }
+            NegotiabilityStrategy::OutlierPercentage { cut } => {
+                let fraction = outlier_fraction(values, 3.0);
+                // Outlier fractions live near 0; stretch them so clustering
+                // sees the contrast (3σ outliers cap out around a few %).
+                (vec![(fraction * 25.0).min(1.0)], fraction > cut)
+            }
             NegotiabilityStrategy::StlVarianceDecomposition { period, cut } => {
-                stl_decompose(values, &StlConfig { period, ..Default::default() })
+                let explained = stl_decompose(values, &StlConfig { period, ..Default::default() })
                     .map(|d| d.variance_explained())
-                    .unwrap_or(0.0)
-                    < cut
+                    // Short series: fall back to "unstructured".
+                    .unwrap_or(0.0);
+                (vec![1.0 - explained], explained < cut)
+            }
+            NegotiabilityStrategy::MinMaxAucWithThresholding { rho, .. } => {
+                let dwell = spike_dwell_fraction(values);
+                (vec![minmax_scaled_auc(values), 1.0 - dwell], dwell < rho)
             }
         }
     }
@@ -131,22 +132,38 @@ impl NegotiabilityStrategy {
     /// `w_CPU, w_RAM, …`). Missing dimensions read as non-negotiable
     /// (weight 0) — absence of evidence is not permission to throttle.
     pub fn weights(&self, history: &PerfHistory, dims: &[PerfDimension]) -> Vec<f64> {
-        let mut out = Vec::new();
-        for &dim in dims {
-            match history.values(dim) {
-                Some(values) => out.extend(self.dimension_weights(values)),
-                None => out.extend(std::iter::repeat_n(0.0, self.weights_per_dimension())),
-            }
-        }
-        out
+        self.profile(history, dims).0
     }
 
     /// Bit vector across the profiled dimensions — the `<0,0,1,1>`-style
     /// output of §5.2.1.
     pub fn bits(&self, history: &PerfHistory, dims: &[PerfDimension]) -> Vec<bool> {
-        dims.iter()
-            .map(|&dim| history.values(dim).map(|v| self.dimension_bit(v)).unwrap_or(false))
-            .collect()
+        self.profile(history, dims).1
+    }
+
+    /// [`Self::weights`] and [`Self::bits`] together, measuring each
+    /// dimension's statistic once for both.
+    pub(crate) fn profile(
+        &self,
+        history: &PerfHistory,
+        dims: &[PerfDimension],
+    ) -> (Vec<f64>, Vec<bool>) {
+        let mut weights = Vec::with_capacity(dims.len() * self.weights_per_dimension());
+        let mut bits = Vec::with_capacity(dims.len());
+        for &dim in dims {
+            match history.values(dim) {
+                Some(values) => {
+                    let (w, bit) = self.dimension_profile(values);
+                    weights.extend(w);
+                    bits.push(bit);
+                }
+                None => {
+                    weights.extend(std::iter::repeat_n(0.0, self.weights_per_dimension()));
+                    bits.push(false);
+                }
+            }
+        }
+        (weights, bits)
     }
 
     /// Number of weights emitted per dimension (2 for the combined
@@ -264,6 +281,19 @@ mod tests {
         let w = s.weights(&h, &[PerfDimension::Cpu, PerfDimension::Iops]);
         assert_eq!(w.len(), 2);
         assert_eq!(w[1], 0.0);
+    }
+
+    #[test]
+    fn thresholding_weight_and_bit_read_one_dwell() {
+        for series in [spiky(), saturated()] {
+            let dwell = spike_dwell_fraction(&series);
+            let s = NegotiabilityStrategy::Thresholding { rho: 0.08 };
+            assert_eq!(s.dimension_weights(&series), vec![1.0 - dwell]);
+            assert_eq!(s.dimension_bit(&series), dwell < 0.08);
+            let s = NegotiabilityStrategy::MinMaxAucWithThresholding { rho: 0.08, cut: 0.75 };
+            assert_eq!(s.dimension_weights(&series), vec![minmax_scaled_auc(&series), 1.0 - dwell]);
+            assert_eq!(s.dimension_bit(&series), dwell < 0.08);
+        }
     }
 
     #[test]

@@ -859,8 +859,8 @@ impl fmt::Debug for EngineRegistry {
 mod tests {
     use super::*;
     use doppler_catalog::{
-        azure_paas_catalog, Catalog, CatalogSpec, CatalogVersion, DeploymentType,
-        InMemoryCatalogProvider, Region, SkuId,
+        azure_paas_catalog, CatalogSpec, CatalogVersion, DeploymentType, InMemoryCatalogProvider,
+        Region, SkuId,
     };
     use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
 
@@ -1241,34 +1241,15 @@ mod tests {
 
     #[test]
     fn training_panic_then_retirement_refuses_rather_than_retrains() {
-        // A provider whose catalog prices are NaN: curve generation sorts
-        // by price and panics — a genuine mid-training panic inside the
-        // registry's catch.
-        struct NanPriced;
-        impl CatalogProvider for NanPriced {
-            fn resolve(&self, _key: &CatalogKey) -> Option<doppler_catalog::ResolvedCatalog> {
-                let catalog = azure_paas_catalog(&CatalogSpec::default());
-                let poisoned = Catalog::new(
-                    catalog
-                        .iter()
-                        .map(|sku| {
-                            let mut sku = sku.clone();
-                            sku.price_per_hour = f64::NAN;
-                            sku
-                        })
-                        .collect(),
-                );
-                Some(doppler_catalog::ResolvedCatalog::new(
-                    Arc::new(poisoned),
-                    doppler_catalog::BillingRates::default(),
-                ))
-            }
-        }
-        let registry = EngineRegistry::new(Arc::new(NanPriced));
+        // A learned backend over an empty telemetry window: training
+        // panics with the typed error's message — a genuine mid-training
+        // panic inside the registry's catch.
+        let registry = registry();
         let template = EngineTemplate::production();
-        let training = TrainingSet::new(vec![record(0.5, 64)]);
+        let training = TrainingSet::new(vec![record(0.5, 0)]);
+        let learned = BackendSpec::Learned(crate::learned::LearnedConfig::default());
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            registry.get_or_train(&db_key(), &template, &training)
+            registry.get_or_train_backend(&db_key(), &template, &training, &learned)
         }));
         assert!(outcome.is_err(), "the training panic propagates to the trainer");
         let stats = registry.stats();
@@ -1278,7 +1259,8 @@ mod tests {
         // typed retirement error — not another training attempt, and not
         // another panic.
         assert_eq!(registry.retire_version(&db_key()), 0, "no engine existed to drop");
-        let err = registry.get_or_train(&db_key(), &template, &training).unwrap_err();
+        let err =
+            registry.get_or_train_backend(&db_key(), &template, &training, &learned).unwrap_err();
         assert_eq!(err, RegistryError::Retired(db_key()));
         assert_eq!(registry.stats().misses, 0, "nothing ever trained successfully");
     }

@@ -19,6 +19,32 @@
 //! this performance dimension relative to an upper bound". Concretely, a
 //! sample throttles on latency when the workload *requires* a latency
 //! tighter than the SKU's minimum achievable one.
+//!
+//! # One pass for every SKU
+//!
+//! [`throttling_probability`] scores one SKU by rescanning every sample;
+//! a curve over `m` SKUs would rescan the window `m` times.
+//! [`throttling_probabilities`] scores them all in one pass. Per dimension
+//! it sorts the SKUs' distinct capacities into ascending *levels* (negated
+//! on the inverted latency dimension, so a tighter latency ranks higher),
+//! so that a sample exceeds exactly the levels before its
+//! `partition_point`, and keeps a cumulative `u64` mask of the SKUs at
+//! those levels. A sample's throttled set is the OR of one mask per
+//! dimension. Sorting the per-sample masks turns equal sets into runs, and
+//! one pass over the runs adds each run's length to every SKU in its set.
+//!
+//! The estimate is exact, not approximate:
+//!
+//! * the partition predicate is the reference's strict comparison:
+//!   `demand > cap`, or on latency `-demand > -cap`, which is `demand <
+//!   cap` because negation is exact. Demand exactly at a capacity never
+//!   throttles, and NaN demand (every comparison false) exceeds no level;
+//! * a NaN capacity is never exceeded, so it gets no level; capacities that
+//!   compare equal (including ±0.0) share one;
+//! * counts are integers, so `count as f64 / n as f64` is the reference's
+//!   own expression on the reference's own operands — bit-identical.
+//!
+//! More than 64 SKUs run the same pass once per 64-SKU chunk.
 
 use doppler_catalog::ResourceCaps;
 use doppler_telemetry::{PerfDimension, PerfHistory};
@@ -74,6 +100,85 @@ pub fn throttling_probability(history: &PerfHistory, caps: &ResourceCaps) -> f64
     throttled as f64 / n as f64
 }
 
+/// Eq. 1 for every SKU in `caps`, from one pass over the samples per 64
+/// SKUs (see the module docs).
+///
+/// Element `i` equals [`throttling_probability`]`(history, &caps[i])` bit
+/// for bit; an empty history throttles with probability 0.
+pub fn throttling_probabilities(history: &PerfHistory, caps: &[ResourceCaps]) -> Vec<f64> {
+    let n = history.len();
+    if n == 0 {
+        return vec![0.0; caps.len()];
+    }
+    let mut probabilities = Vec::with_capacity(caps.len());
+    let mut sample_masks = vec![0u64; n];
+    for chunk in caps.chunks(u64::BITS as usize) {
+        sample_masks.fill(0);
+        for (dim, series) in history.iter() {
+            LevelMasks::build(dim, chunk).throttle(&mut sample_masks, series.values());
+        }
+        sample_masks.sort_unstable();
+        let mut counts = vec![0usize; chunk.len()];
+        for run in sample_masks.chunk_by(|a, b| a == b) {
+            let mut skus = run[0];
+            while skus != 0 {
+                counts[skus.trailing_zeros() as usize] += run.len();
+                skus &= skus - 1;
+            }
+        }
+        probabilities.extend(counts.into_iter().map(|count| count as f64 / n as f64));
+    }
+    probabilities
+}
+
+/// One dimension's exceedance table over at most 64 SKUs.
+///
+/// Capacities and demands are *oriented*: multiplied by `sign`, which is -1
+/// on the inverted latency dimension, so its `demand < cap` reads
+/// `-demand > -cap` and every dimension compares with `>`.
+struct LevelMasks {
+    sign: f64,
+    /// Distinct non-NaN oriented capacities, ascending, so a demand exceeds
+    /// a prefix.
+    levels: Vec<f64>,
+    /// `masks[k]`: bit `j` set when SKU `j`'s capacity is among
+    /// `levels[..k]`.
+    masks: Vec<u64>,
+}
+
+impl LevelMasks {
+    fn build(dim: PerfDimension, chunk: &[ResourceCaps]) -> LevelMasks {
+        let sign = if dim.inverted() { -1.0 } else { 1.0 };
+        let sku_caps = || {
+            chunk
+                .iter()
+                .enumerate()
+                .filter_map(move |(j, c)| capacity(c, dim).map(|cap| (j, sign * cap)))
+                .filter(|&(_, cap)| !cap.is_nan())
+        };
+        let mut levels: Vec<f64> = sku_caps().map(|(_, cap)| cap).collect();
+        levels.sort_unstable_by(f64::total_cmp);
+        levels.dedup_by(|a, b| a == b);
+        let mut masks = vec![0; levels.len() + 1];
+        for (j, cap) in sku_caps() {
+            // The levels a capacity exceeds are those before its own.
+            masks[levels.partition_point(|&level| cap > level) + 1] |= 1 << j;
+        }
+        for k in 1..masks.len() {
+            masks[k] |= masks[k - 1];
+        }
+        LevelMasks { sign, levels, masks }
+    }
+
+    /// OR into each sample's mask the SKUs its demand throttles here.
+    fn throttle(&self, sample_masks: &mut [u64], demands: &[f64]) {
+        for (mask, &demand) in sample_masks.iter_mut().zip(demands) {
+            let demand = self.sign * demand;
+            *mask |= self.masks[self.levels.partition_point(|&level| demand > level)];
+        }
+    }
+}
+
 /// Per-dimension exceedance fractions plus the joint probability; feeds the
 /// explanation module ("why did this SKU score 0.82?").
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -105,7 +210,7 @@ impl ThrottleBreakdown {
             .iter()
             .copied()
             .filter(|&(_, f)| f > 0.0)
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite fractions"))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
     }
 }
 

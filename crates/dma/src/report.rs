@@ -10,7 +10,7 @@
 //! and the whole report serializes to JSON for machine consumers.
 
 use doppler_core::Recommendation;
-use doppler_stats::{Ecdf, Summary};
+use doppler_stats::Summary;
 use doppler_telemetry::{PerfDimension, PerfHistory};
 
 use crate::json::Json;
@@ -41,8 +41,16 @@ impl ResourceUseReport {
     pub fn build(history: &PerfHistory, recommendation: &Recommendation) -> ResourceUseReport {
         let mut dimension_summaries = Vec::new();
         for (dim, series) in history.iter() {
-            let Some(summary) = Summary::of(series.values()) else { continue };
-            let ecdf = Ecdf::new(series.values()).map(|e| e.grid(16)).unwrap_or_default();
+            let values = series.values();
+            let Some((summary, ecdf)) = Summary::with_ecdf(values) else { continue };
+            let mut ecdf = ecdf.grid(16);
+            if summary.min == summary.max {
+                // A constant series puts its one value on every grid x.
+                // Take it from the sample: a mixed ±0.0 series then reads
+                // its first zero's sign, not the -0.0 that `total_cmp`
+                // sorts first.
+                ecdf.iter_mut().for_each(|point| point.0 = values[0]);
+            }
             dimension_summaries.push(DimensionReport {
                 dimension: dim,
                 unit: dim.unit().to_string(),

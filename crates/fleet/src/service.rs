@@ -379,9 +379,15 @@ impl DriftTicket {
 /// bookkeeping every streaming caller otherwise rewrites by hand: push each
 /// ticket as you submit, pull completed results in submission order with
 /// [`try_next`](TicketQueue::try_next) while feeding, then block out the
-/// tail with [`next_blocking`](TicketQueue::next_blocking). Interleaving
-/// the two keeps the outstanding window bounded by the service's queue
-/// depth + worker count.
+/// tail with [`next_blocking`](TicketQueue::next_blocking).
+///
+/// Draining is head-of-line: a completed result waits here until every
+/// earlier ticket has resolved. Backpressure bounds the *unassessed*
+/// tickets by the service's queue depth + worker count, but not the
+/// completed ones. While the oldest ticket's worker is stalled, the other
+/// workers keep completing, and their results pile up behind it. So the
+/// outstanding window stays near queue depth + worker count only while the
+/// oldest ticket's worker keeps making progress.
 #[derive(Debug, Default)]
 pub struct TicketQueue {
     tickets: VecDeque<Ticket>,

@@ -8,6 +8,8 @@
 //! return `None` — a single corrupt telemetry point downgrades one
 //! statistic, it never panics a fleet pass.
 
+use crate::ecdf::Ecdf;
+
 /// Arithmetic mean. Returns `0.0` for an empty slice so that downstream
 /// aggregations over possibly-empty windows stay total.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -104,12 +106,19 @@ impl Summary {
     /// containing any non-finite sample (same contract as [`quantile`]:
     /// corrupt telemetry yields a missing summary, not a panic).
     pub fn of(xs: &[f64]) -> Option<Summary> {
+        Summary::with_ecdf(xs).map(|(summary, _)| summary)
+    }
+
+    /// [`Summary::of`] plus the sample's [`Ecdf`], both read off one sorted
+    /// copy. The moments are taken over `xs` in its own order: float
+    /// summation order changes the last bits.
+    pub fn with_ecdf(xs: &[f64]) -> Option<(Summary, Ecdf)> {
         if xs.is_empty() || !xs.iter().all(|x| x.is_finite()) {
             return None;
         }
         let mut sorted: Vec<f64> = xs.to_vec();
         sorted.sort_by(f64::total_cmp);
-        Some(Summary {
+        let summary = Summary {
             count: xs.len(),
             mean: mean(xs),
             stddev: stddev(xs),
@@ -119,7 +128,8 @@ impl Summary {
             p75: quantile_sorted(&sorted, 0.75),
             p95: quantile_sorted(&sorted, 0.95),
             max: sorted[sorted.len() - 1],
-        })
+        };
+        Some((summary, Ecdf::from_sorted(sorted)))
     }
 }
 

@@ -16,13 +16,24 @@ pub struct Ecdf {
 
 impl Ecdf {
     /// Build an ECDF from a sample. Returns `None` for empty input.
+    ///
+    /// The sample is ordered by `f64::total_cmp`, so non-finite values sort
+    /// to the ends instead of panicking, and `-0.0` sorts before `+0.0`.
     pub fn new(sample: &[f64]) -> Option<Ecdf> {
         if sample.is_empty() {
             return None;
         }
         let mut sorted = sample.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-finite input to Ecdf"));
+        sorted.sort_by(f64::total_cmp);
         Some(Ecdf { sorted })
+    }
+
+    /// An ECDF over a non-empty sample already sorted by `f64::total_cmp`
+    /// (see [`crate::Summary::with_ecdf`]).
+    pub(crate) fn from_sorted(sorted: Vec<f64>) -> Ecdf {
+        debug_assert!(!sorted.is_empty(), "empty ECDF sample");
+        debug_assert!(sorted.is_sorted_by(|a, b| a.total_cmp(b).is_le()), "unsorted ECDF sample");
+        Ecdf { sorted }
     }
 
     /// `F(x)` — the fraction of the sample `<= x`.
