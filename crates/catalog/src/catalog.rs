@@ -15,7 +15,7 @@ impl Catalog {
         skus.sort_by(|a, b| {
             (a.deployment, a.tier)
                 .cmp(&(b.deployment, b.tier))
-                .then(a.caps.vcores.partial_cmp(&b.caps.vcores).expect("finite vcores"))
+                .then(a.caps.vcores.total_cmp(&b.caps.vcores))
         });
         Catalog { skus }
     }
@@ -58,10 +58,7 @@ impl Catalog {
     pub fn sorted_by_price(&self, deployment: DeploymentType) -> Vec<&Sku> {
         let mut v = self.for_deployment(deployment);
         v.sort_by(|a, b| {
-            a.price_per_hour
-                .partial_cmp(&b.price_per_hour)
-                .expect("finite prices")
-                .then_with(|| a.id.cmp(&b.id))
+            a.price_per_hour.total_cmp(&b.price_per_hour).then_with(|| a.id.cmp(&b.id))
         });
         v
     }
@@ -189,6 +186,23 @@ mod tests {
         let c = Catalog::new(Vec::new());
         assert!(c.is_empty());
         assert!(c.sorted_by_price(DeploymentType::SqlDb).is_empty());
+    }
+
+    #[test]
+    fn nan_prices_and_vcores_sort_without_panic() {
+        let mut skus: Vec<Sku> =
+            catalog().for_deployment(DeploymentType::SqlDb).into_iter().cloned().collect();
+        let n = skus.len();
+        skus[0].price_per_hour = f64::NAN;
+        skus[1].caps.vcores = f64::NAN;
+        let c = Catalog::new(skus);
+        assert_eq!(c.len(), n);
+        let sorted = c.sorted_by_price(DeploymentType::SqlDb);
+        assert_eq!(sorted.len(), n);
+        assert!(sorted[n - 1].price_per_hour.is_nan(), "a NaN price sorts last");
+        for w in sorted[..n - 1].windows(2) {
+            assert!(w[0].price_per_hour <= w[1].price_per_hour);
+        }
     }
 
     #[test]

@@ -235,7 +235,7 @@ mod tests {
                 s.deployment == DeploymentType::SqlDb && s.tier == ServiceTier::GeneralPurpose
             })
             .collect();
-        gp.sort_by(|a, b| a.caps.vcores.partial_cmp(&b.caps.vcores).unwrap());
+        gp.sort_by(|a, b| a.caps.vcores.total_cmp(&b.caps.vcores));
         for w in gp.windows(2) {
             assert!(w[1].price_per_hour > w[0].price_per_hour);
             assert!(w[1].caps.dominates(&w[0].caps));

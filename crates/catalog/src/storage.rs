@@ -166,7 +166,7 @@ impl FileLayout {
             let Some(&pick) = upgradable.iter().min_by(|&&a, &&b| {
                 let ca = assignment.tiers[a].monthly_price();
                 let cb = assignment.tiers[b].monthly_price();
-                ca.partial_cmp(&cb).expect("finite prices")
+                ca.total_cmp(&cb)
             }) else {
                 return Some((assignment, false));
             };

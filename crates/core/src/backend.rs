@@ -92,8 +92,9 @@ pub trait RecommendationBackend: Send + Sync + fmt::Debug {
     /// identically.
     fn fingerprint(&self) -> u64;
 
-    /// Escape hatch for the deprecated concrete-typed accessors
-    /// (`SkuRecommendationPipeline::engine`); return `self`.
+    /// Downcast hook for callers that need the concrete type behind a trait
+    /// object, such as a per-stage replay of the heuristic engine or a test
+    /// checking which backend a registry resolved; return `self`.
     fn as_any(&self) -> &dyn Any;
 
     /// §5.2.3 drift probe: split the history at `change_point` and compare

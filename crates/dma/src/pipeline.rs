@@ -1,17 +1,18 @@
 //! The SKU Recommendation Pipeline (§4): preprocessed input → Doppler
-//! engine → packaged result.
+//! engine → recommendation. The Resource Use Module's dashboard is not part
+//! of the result; callers that show it build it on demand with
+//! [`ResourceUseReport::build`](crate::ResourceUseReport::build).
 
 use std::sync::Arc;
 
 use doppler_catalog::{CatalogKey, DeploymentType, FileLayout};
 use doppler_core::{
-    BackendSpec, ConfidenceConfig, DopplerEngine, EngineRegistry, EngineTemplate, Recommendation,
+    BackendSpec, ConfidenceConfig, EngineRegistry, EngineTemplate, Recommendation,
     RecommendationBackend, RegistryError, TrainingSet,
 };
 use doppler_telemetry::PerfHistory;
 
 use crate::preprocess::PreprocessedInstance;
-use crate::report::ResourceUseReport;
 
 /// One assessment request: an instance's preprocessed telemetry plus the
 /// customer's target choice.
@@ -48,14 +49,17 @@ impl AssessmentRequest {
     }
 }
 
-/// One completed assessment.
+/// One completed assessment: the recommendation only. Callers that show
+/// the §4 dashboard build it with
+/// [`ResourceUseReport::build`](crate::ResourceUseReport::build)`(&request.input.instance,
+/// &result.recommendation)`, so batch callers that never read it skip its
+/// per-series sorts, ECDF grids and rendered explanation.
 #[derive(Debug, Clone)]
 pub struct AssessmentResult {
     pub instance_name: String,
     /// Number of databases assessed within the instance.
     pub databases_assessed: usize,
     pub recommendation: Recommendation,
-    pub report: ResourceUseReport,
 }
 
 /// The pipeline: a recommendation backend plus the glue.
@@ -65,7 +69,8 @@ pub struct AssessmentResult {
 /// sharing it across fleets and services) bumps a reference count instead
 /// of copying a trained model and its catalog — and since the backend
 /// redesign the engine behind that `Arc` can be any
-/// [`RecommendationBackend`] (the heuristic [`DopplerEngine`], the learned
+/// [`RecommendationBackend`] (the heuristic
+/// [`DopplerEngine`](doppler_core::DopplerEngine), the learned
 /// `LearnedBackend`, or a third-party implementation). Resolve backends
 /// through an [`EngineRegistry`] with
 /// [`from_registry`](SkuRecommendationPipeline::from_registry) /
@@ -124,27 +129,6 @@ impl SkuRecommendationPipeline {
         &self.backend
     }
 
-    /// The engine in use as its concrete type.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline's backend is not the heuristic
-    /// [`DopplerEngine`] — trait-object pipelines should use
-    /// [`backend`](SkuRecommendationPipeline::backend).
-    #[deprecated(since = "0.1.0", note = "use `backend()`; pipelines are backend-agnostic now")]
-    pub fn engine(&self) -> &DopplerEngine {
-        self.backend
-            .as_any()
-            .downcast_ref::<DopplerEngine>()
-            .expect("pipeline backend is not the heuristic DopplerEngine; use backend()")
-    }
-
-    /// The shared backend handle.
-    #[deprecated(since = "0.1.0", note = "use `backend()`; it returns the same shared handle")]
-    pub fn shared_engine(&self) -> &Arc<dyn RecommendationBackend> {
-        &self.backend
-    }
-
     /// The deployment target this pipeline's backend was configured for —
     /// the routing key batch layers (e.g. `doppler-fleet`) shard on.
     pub fn deployment(&self) -> DeploymentType {
@@ -162,12 +146,10 @@ impl SkuRecommendationPipeline {
             Some(cfg) => self.backend.recommend_with_confidence(history, layout.as_ref(), cfg),
             None => self.backend.recommend(history, layout.as_ref()),
         };
-        let report = ResourceUseReport::build(history, &recommendation);
         AssessmentResult {
             instance_name: request.instance_name.clone(),
             databases_assessed: request.input.databases.len(),
             recommendation,
-            report,
         }
     }
 }
@@ -177,6 +159,7 @@ mod tests {
     use super::*;
     use doppler_catalog::{azure_paas_catalog, CatalogSpec};
     use doppler_core::engine::EngineConfig;
+    use doppler_core::DopplerEngine;
     use doppler_telemetry::{PerfDimension, TimeSeries};
 
     fn pipeline(deployment: DeploymentType) -> SkuRecommendationPipeline {
@@ -233,12 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn report_is_produced() {
-        let result = pipeline(DeploymentType::SqlDb).assess(&request(vec![]));
-        assert!(!result.report.dimension_summaries.is_empty());
-    }
-
-    #[test]
     fn registry_resolved_pipelines_share_one_engine() {
         use doppler_catalog::InMemoryCatalogProvider;
         let registry = EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production()));
@@ -266,16 +243,6 @@ mod tests {
             a.assess(&request(vec![])).recommendation,
             b.assess(&request(vec![])).recommendation
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_accessors_keep_working_on_heuristic_pipelines() {
-        let p = pipeline(DeploymentType::SqlDb);
-        // `engine()` downcasts back to the concrete engine; `shared_engine`
-        // aliases `backend()`.
-        assert_eq!(p.engine().config().deployment, DeploymentType::SqlDb);
-        assert!(Arc::ptr_eq(p.shared_engine(), p.backend()));
     }
 
     #[test]

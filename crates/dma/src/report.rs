@@ -8,6 +8,11 @@
 //!
 //! The terminal is our dashboard: summaries and ECDF grids render as text,
 //! and the whole report serializes to JSON for machine consumers.
+//!
+//! The dashboard is not part of an assessment: `SkuRecommendationPipeline::assess`
+//! returns the recommendation only, and callers that show the dashboard
+//! build it on demand with [`ResourceUseReport::build`] from the assessed
+//! history and that recommendation.
 
 use doppler_core::Recommendation;
 use doppler_stats::Summary;

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use doppler_catalog::{CatalogKey, DeploymentType};
 use doppler_core::{
-    BackendSpec, DopplerEngine, EngineRegistry, EngineTemplate, RecommendationBackend, TrainingSet,
+    BackendSpec, EngineRegistry, EngineTemplate, RecommendationBackend, TrainingSet,
 };
 use doppler_dma::{AssessmentRequest, AssessmentResult, SkuRecommendationPipeline};
 use doppler_obs::{Histogram, ObsRegistry};
@@ -462,12 +462,6 @@ impl FleetAssessor {
         self.with_pipeline(Arc::new(SkuRecommendationPipeline::new(backend)))
     }
 
-    /// Add (or replace) the engine serving `engine.config().deployment`.
-    #[deprecated(since = "0.1.0", note = "use `with_backend`; it accepts any backend")]
-    pub fn with_engine(self, engine: DopplerEngine) -> FleetAssessor {
-        self.with_backend(engine)
-    }
-
     /// Add (or replace) a shared pipeline for its deployment target.
     pub fn with_pipeline(mut self, pipeline: Arc<SkuRecommendationPipeline>) -> FleetAssessor {
         self.engines.insert(pipeline);
@@ -581,7 +575,7 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use doppler_catalog::{azure_paas_catalog, CatalogSpec};
-    use doppler_core::EngineConfig;
+    use doppler_core::{DopplerEngine, EngineConfig};
     use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
 
     fn assessor(workers: usize) -> FleetAssessor {
@@ -649,6 +643,7 @@ mod tests {
             EngineConfig::production(DeploymentType::SqlMi),
         );
         let assessor = assessor(4).with_backend(mi_engine);
+        assert!(assessor.pipeline_for(DeploymentType::SqlMi).is_some());
         let mut mi = request("mi-1", 0.5);
         mi.deployment = DeploymentType::SqlMi;
         mi.request.input.file_sizes_gib = vec![64.0, 64.0];
@@ -838,17 +833,6 @@ mod tests {
         let out = assessor.assess(vec![request("keyless", 0.5)]);
         assert_eq!(out.report.recommended, 1);
         assert_eq!(registry.stats().misses, 0, "fixed pipeline served it; nothing trained");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_engine_still_routes() {
-        let mi_engine = DopplerEngine::untrained(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlMi),
-        );
-        let assessor = assessor(2).with_engine(mi_engine);
-        assert!(assessor.pipeline_for(DeploymentType::SqlMi).is_some());
     }
 
     #[test]

@@ -129,7 +129,7 @@ pub fn kmeans(points: &[Vec<f64>], config: &KMeansConfig) -> KMeansResult {
                     .max_by(|&a, &b| {
                         let da = euclidean_sq(&points[a], &centroids[assignments[a]]);
                         let db = euclidean_sq(&points[b], &centroids[assignments[b]]);
-                        da.partial_cmp(&db).expect("finite distances")
+                        da.total_cmp(&db)
                     })
                     .expect("nonempty points");
                 centroids[c] = points[far].clone();
@@ -223,6 +223,16 @@ mod tests {
         let r = kmeans(&pts, &KMeansConfig { k: 3, ..Default::default() });
         assert_eq!(r.assignments.len(), 10);
         assert!(r.inertia < 1e-12);
+    }
+
+    #[test]
+    fn nan_distance_reseeds_without_panic() {
+        // The NaN point is nearest to no centroid, so a cluster empties and
+        // the re-seed compares NaN distances.
+        let pts = vec![vec![0.0], vec![0.0], vec![f64::NAN]];
+        let r = kmeans(&pts, &KMeansConfig { k: 2, ..Default::default() });
+        assert_eq!(r.assignments.len(), 3);
+        assert_eq!(r.centroids.len(), 2);
     }
 
     #[test]

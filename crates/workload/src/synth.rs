@@ -327,7 +327,7 @@ mod tests {
             .max_by(|a, b| {
                 let ia = a.demand().2;
                 let ib = b.demand().2;
-                ia.partial_cmp(&ib).unwrap()
+                ia.total_cmp(&ib)
             })
             .unwrap();
         assert_eq!(dominant.kind, BenchmarkKind::Ycsb);

@@ -391,7 +391,7 @@ fn assert_pipeline_matches_reference(deployment: DeploymentType, cohort: usize, 
             "{name}: recommendation differs in a float's bits"
         );
         assert_eq!(
-            result.report.to_json(),
+            ResourceUseReport::build(history, &result.recommendation).to_json(),
             reference_report(history, &expected).to_json(),
             "{name}: report JSON differs"
         );

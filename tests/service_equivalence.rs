@@ -67,7 +67,7 @@ fn assert_results_identical(a: &AssessmentResult, b: &AssessmentResult) {
     assert_eq!(a.recommendation.sku_id, b.recommendation.sku_id);
     assert_eq!(a.recommendation.monthly_cost, b.recommendation.monthly_cost);
     assert_eq!(a.recommendation.shape, b.recommendation.shape);
-    assert_eq!(a.report, b.report);
+    assert_eq!(a.recommendation, b.recommendation);
 }
 
 /// Stream a cohort through a `FleetService` one submission at a time with
@@ -258,7 +258,7 @@ proptest! {
             let results = service.assess_and_record(month, &requests, &mut ledger);
             for (got, want) in results.iter().zip(&reference) {
                 prop_assert_eq!(&got.recommendation.sku_id, &want.recommendation.sku_id);
-                prop_assert_eq!(&got.report, &want.report);
+                prop_assert_eq!(&got.recommendation, &want.recommendation);
             }
             prop_assert_eq!(&ledger, &expected_ledger);
         }
