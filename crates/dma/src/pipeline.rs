@@ -73,7 +73,6 @@ pub struct AssessmentResult {
 /// [`DopplerEngine`](doppler_core::DopplerEngine), the learned
 /// `LearnedBackend`, or a third-party implementation). Resolve backends
 /// through an [`EngineRegistry`] with
-/// [`from_registry`](SkuRecommendationPipeline::from_registry) /
 /// [`from_registry_backend`](SkuRecommendationPipeline::from_registry_backend)
 /// — one training per distinct
 /// `(catalog key, backend, template, training set)` across every pipeline
@@ -87,7 +86,7 @@ impl SkuRecommendationPipeline {
     /// Wrap a trained backend this pipeline will be the only user of. For
     /// backends shared across consumers, prefer
     /// [`from_shared`](SkuRecommendationPipeline::from_shared) or
-    /// [`from_registry`](SkuRecommendationPipeline::from_registry).
+    /// [`from_registry_backend`](SkuRecommendationPipeline::from_registry_backend).
     pub fn new(backend: impl RecommendationBackend + 'static) -> SkuRecommendationPipeline {
         SkuRecommendationPipeline::from_shared(Arc::new(backend))
     }
@@ -98,18 +97,8 @@ impl SkuRecommendationPipeline {
         SkuRecommendationPipeline { backend }
     }
 
-    /// Resolve the default (heuristic) backend through a registry
-    /// (training it on first use, sharing it afterwards) and wrap it.
-    pub fn from_registry(
-        registry: &EngineRegistry,
-        key: &CatalogKey,
-        template: &EngineTemplate,
-        training: &TrainingSet,
-    ) -> Result<SkuRecommendationPipeline, RegistryError> {
-        Ok(SkuRecommendationPipeline::from_shared(registry.get_or_train(key, template, training)?))
-    }
-
-    /// Resolve a specific backend kind through a registry and wrap it.
+    /// Resolve a backend kind through a registry (training it on first
+    /// use, sharing it afterwards) and wrap it.
     pub fn from_registry_backend(
         registry: &EngineRegistry,
         key: &CatalogKey,
@@ -220,20 +209,17 @@ mod tests {
         use doppler_catalog::InMemoryCatalogProvider;
         let registry = EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production()));
         let key = CatalogKey::production(DeploymentType::SqlDb);
-        let a = SkuRecommendationPipeline::from_registry(
-            &registry,
-            &key,
-            &EngineTemplate::production(),
-            &TrainingSet::empty(),
-        )
-        .unwrap();
-        let b = SkuRecommendationPipeline::from_registry(
-            &registry,
-            &key,
-            &EngineTemplate::production(),
-            &TrainingSet::empty(),
-        )
-        .unwrap();
+        let resolve = || {
+            SkuRecommendationPipeline::from_registry_backend(
+                &registry,
+                &key,
+                &EngineTemplate::production(),
+                &TrainingSet::empty(),
+                &BackendSpec::Heuristic,
+            )
+            .unwrap()
+        };
+        let (a, b) = (resolve(), resolve());
         assert!(Arc::ptr_eq(a.backend(), b.backend()), "one engine, two pipelines");
         assert_eq!(registry.stats().misses, 1);
         // Cloning a pipeline is a reference-count bump, not a model copy.

@@ -6,7 +6,7 @@
 //! recommendations (§4, Table 1); this module is the reproduction's version
 //! of that serving layer. The trained engine is read-only after
 //! construction, so assessment parallelizes embarrassingly: each worker
-//! holds an `Arc` of the deployment's pipeline, pops tasks from a bounded
+//! shares the deployment's backend through an `Arc`, pops tasks from a bounded
 //! queue (so lazily-generated fleets never materialize fully), and streams
 //! results back in completion order. Results are then folded in submission
 //! order, making the output — and every aggregate derived from it —
@@ -196,12 +196,6 @@ impl EngineRoute {
         self
     }
 
-    /// The same route with a different engine template.
-    pub fn with_template(mut self, template: EngineTemplate) -> EngineRoute {
-        self.template = template;
-        self
-    }
-
     /// The same route serving a different backend kind.
     pub fn with_backend_spec(mut self, backend: BackendSpec) -> EngineRoute {
         self.backend = backend;
@@ -227,7 +221,7 @@ impl EngineRoute {
 /// 4. otherwise the request fails into the report's failure bucket.
 #[derive(Clone)]
 pub(crate) struct EngineSet {
-    pipelines: Vec<(DeploymentType, Arc<SkuRecommendationPipeline>)>,
+    pipelines: Vec<(DeploymentType, SkuRecommendationPipeline)>,
     registry: Option<Arc<EngineRegistry>>,
     routes: Vec<(DeploymentType, EngineRoute)>,
     obs: EngineSetObs,
@@ -266,7 +260,7 @@ impl EngineSet {
     }
 
     /// Add (or replace) the pipeline serving its engine's deployment.
-    pub(crate) fn insert(&mut self, pipeline: Arc<SkuRecommendationPipeline>) {
+    pub(crate) fn insert(&mut self, pipeline: SkuRecommendationPipeline) {
         let deployment = pipeline.deployment();
         self.pipelines.retain(|(d, _)| *d != deployment);
         self.pipelines.push((deployment, pipeline));
@@ -296,7 +290,7 @@ impl EngineSet {
     pub(crate) fn pipeline_for(
         &self,
         deployment: DeploymentType,
-    ) -> Option<&Arc<SkuRecommendationPipeline>> {
+    ) -> Option<&SkuRecommendationPipeline> {
         self.pipelines.iter().find(|(d, _)| *d == deployment).map(|(_, p)| p)
     }
 
@@ -328,7 +322,7 @@ impl EngineSet {
             return Ok(SkuRecommendationPipeline::from_shared(engine));
         }
         if let Some(pipeline) = self.pipeline_for(deployment) {
-            return Ok(SkuRecommendationPipeline::clone(pipeline));
+            return Ok(pipeline.clone());
         }
         match (self.registry.as_deref(), self.route_for(deployment)) {
             (Some(registry), Some(route)) => {
@@ -388,18 +382,8 @@ impl FleetAssessor {
         backend: impl RecommendationBackend + 'static,
         config: FleetConfig,
     ) -> FleetAssessor {
-        FleetAssessor::from_pipeline(Arc::new(SkuRecommendationPipeline::new(backend)), config)
-    }
-
-    /// An assessor over an already-built (and possibly shared) pipeline —
-    /// the warm-start path: no engine retraining, no catalog copies, just a
-    /// reference-count bump.
-    pub fn from_pipeline(
-        pipeline: Arc<SkuRecommendationPipeline>,
-        config: FleetConfig,
-    ) -> FleetAssessor {
         let mut engines = EngineSet::new();
-        engines.insert(pipeline);
+        engines.insert(SkuRecommendationPipeline::new(backend));
         FleetAssessor { engines, config, plan: ShardPlan::single(), obs: ObsRegistry::disabled() }
     }
 
@@ -458,13 +442,8 @@ impl FleetAssessor {
     /// Add (or replace) the backend serving `backend.config().deployment`
     /// — lets one assessor serve a heterogeneous SqlDb + SqlMi fleet, or
     /// mix backend kinds across deployments.
-    pub fn with_backend(self, backend: impl RecommendationBackend + 'static) -> FleetAssessor {
-        self.with_pipeline(Arc::new(SkuRecommendationPipeline::new(backend)))
-    }
-
-    /// Add (or replace) a shared pipeline for its deployment target.
-    pub fn with_pipeline(mut self, pipeline: Arc<SkuRecommendationPipeline>) -> FleetAssessor {
-        self.engines.insert(pipeline);
+    pub fn with_backend(mut self, backend: impl RecommendationBackend + 'static) -> FleetAssessor {
+        self.engines.insert(SkuRecommendationPipeline::new(backend));
         self
     }
 
@@ -479,21 +458,13 @@ impl FleetAssessor {
         self
     }
 
-    /// The shard plan in use.
-    pub fn shard_plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &FleetConfig {
         &self.config
     }
 
     /// The pipeline serving `deployment`, if configured.
-    pub fn pipeline_for(
-        &self,
-        deployment: DeploymentType,
-    ) -> Option<&Arc<SkuRecommendationPipeline>> {
+    pub fn pipeline_for(&self, deployment: DeploymentType) -> Option<&SkuRecommendationPipeline> {
         self.engines.pipeline_for(deployment)
     }
 
@@ -863,18 +834,13 @@ mod tests {
 
     #[test]
     fn shared_pipelines_warm_start_without_retraining() {
-        let engine = DopplerEngine::untrained(
-            azure_paas_catalog(&CatalogSpec::default()),
-            EngineConfig::production(DeploymentType::SqlDb),
-        );
-        let pipeline = Arc::new(SkuRecommendationPipeline::new(engine));
-        let a = FleetAssessor::from_pipeline(Arc::clone(&pipeline), FleetConfig::with_workers(2));
-        let b = FleetAssessor::from_pipeline(Arc::clone(&pipeline), FleetConfig::with_workers(4));
-        // Both assessors reference the identical pipeline allocation.
-        assert!(Arc::ptr_eq(
-            a.pipeline_for(DeploymentType::SqlDb).unwrap(),
-            b.pipeline_for(DeploymentType::SqlDb).unwrap()
-        ));
+        let a = assessor(2);
+        let b = assessor(4);
+        // Every request resolves to the configured backend allocation: a
+        // refcount bump per assessment, never an engine copy or retraining.
+        let fixed = a.pipeline_for(DeploymentType::SqlDb).unwrap();
+        let resolved = a.engines.resolve(DeploymentType::SqlDb, &None).unwrap();
+        assert!(Arc::ptr_eq(fixed.backend(), resolved.backend()));
         let fleet: Vec<FleetRequest> =
             (0..12).map(|i| request(&format!("w{i}"), 0.5 + i as f64 * 0.3)).collect();
         assert_eq!(a.assess(fleet.clone()).report, b.assess(fleet).report);

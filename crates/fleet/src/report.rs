@@ -18,9 +18,8 @@ use crate::assessor::FleetResult;
 
 /// Recommendation variants DMA would surface for one assessed instance:
 /// one per curve point at full score, at least one — the unit the paper's
-/// Table 1 counts as "recommendations generated". The single counting
-/// rule behind both the fleet report's adoption ledger and
-/// `AssessmentService::assess_and_record`.
+/// Table 1 counts as "recommendations generated" — the counting rule
+/// behind the fleet report's adoption ledger.
 pub fn eligible_recommendations(recommendation: &Recommendation) -> usize {
     recommendation.curve.points().iter().filter(|p| p.score >= 1.0 - 1e-9).count().max(1)
 }

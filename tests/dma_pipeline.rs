@@ -1,10 +1,10 @@
 //! DMA pipeline integration: raw counters through preprocessing, the
-//! recommendation pipeline, reports, and the batch service.
+//! recommendation pipeline, reports, and month-tagged fleet assessment.
 
 use doppler::dma::preprocess::preprocess;
 use doppler::dma::{
-    render_text_report, AdoptionLedger, AssessmentRequest, AssessmentService, DatabaseTelemetry,
-    RawCounterSet, ResourceUseReport, SkuRecommendationPipeline,
+    render_text_report, AssessmentRequest, DatabaseTelemetry, RawCounterSet, ResourceUseReport,
+    SkuRecommendationPipeline,
 };
 use doppler::prelude::*;
 use doppler::telemetry::RawSample;
@@ -26,11 +26,15 @@ fn raw_db(name: &str, cpu: f64, latency: f64, minutes: f64) -> DatabaseTelemetry
     }
 }
 
-fn pipeline(deployment: DeploymentType) -> SkuRecommendationPipeline {
-    SkuRecommendationPipeline::new(DopplerEngine::untrained(
+fn engine(deployment: DeploymentType) -> DopplerEngine {
+    DopplerEngine::untrained(
         azure_paas_catalog(&CatalogSpec::default()),
         EngineConfig::production(deployment),
-    ))
+    )
+}
+
+fn pipeline(deployment: DeploymentType) -> SkuRecommendationPipeline {
+    SkuRecommendationPipeline::new(engine(deployment))
 }
 
 #[test]
@@ -88,18 +92,19 @@ fn mi_requests_carry_file_layouts_through_the_pipeline() {
 #[test]
 fn batch_service_and_ledger_count_correctly() {
     let minutes = 24.0 * 60.0;
-    let requests: Vec<AssessmentRequest> = (0..6)
-        .map(|i| AssessmentRequest {
+    let fleet = (0..6).map(|i| {
+        let request = AssessmentRequest {
             instance_name: format!("inst-{i}"),
             input: preprocess(&[raw_db("only", 0.5, 6.5, minutes)], minutes),
             confidence: None,
-        })
-        .collect();
-    let service = AssessmentService::new(pipeline(DeploymentType::SqlDb), 3);
-    let mut ledger = AdoptionLedger::default();
-    let results = service.assess_and_record("Oct-21", &requests, &mut ledger);
-    assert_eq!(results.len(), 6);
-    let m = ledger.month("Oct-21").unwrap();
+        };
+        FleetRequest::new(DeploymentType::SqlDb, request).with_month("Oct-21")
+    });
+    let out = FleetAssessor::new(engine(DeploymentType::SqlDb), FleetConfig::with_workers(3))
+        .assess(fleet);
+    assert_eq!(out.results.len(), 6);
+    assert!(out.report.failures.is_empty());
+    let m = out.report.adoption.month("Oct-21").unwrap();
     assert_eq!(m.unique_instances, 6);
     assert_eq!(m.unique_databases, 6);
     assert!(m.recommendations_generated >= 6);

@@ -1,8 +1,9 @@
-//! Service/batch equivalence: the streaming `FleetService` front-end, the
-//! one-shot `FleetAssessor::assess`, and the DMA `assess_batch` wrapper are
-//! three entrances to the same worker pool — for the same cohort they must
-//! produce bit-for-bit identical reports, identical per-instance results,
-//! and identical `AdoptionLedger` entries, at every worker count.
+//! Service/one-shot equivalence: the streaming `FleetService` front-end and
+//! the one-shot `FleetAssessor::assess` are two entrances to the same
+//! worker pool — for the same cohort they must produce bit-for-bit
+//! identical reports and per-instance results at every worker count, both
+//! must match a serial single-pipeline reference, and a month-tagged fleet's
+//! `FleetReport::adoption` must match the reference `AdoptionLedger`.
 //!
 //! CI runs this alongside `fleet_determinism` in the dedicated determinism
 //! job with `--test-threads=1`; the 1/4/8-worker sweep lives inside each
@@ -49,8 +50,8 @@ fn serial_reference(requests: &[AssessmentRequest]) -> Vec<AssessmentResult> {
     requests.iter().map(|r| pipeline.assess(r)).collect()
 }
 
-/// Record `results` against a ledger exactly the way
-/// `AssessmentService::assess_and_record` does.
+/// Record `results` against a ledger by the Table 1 counting rule, written
+/// out independently of the fleet report's `eligible_recommendations`.
 fn reference_ledger(month: &str, results: &[AssessmentResult]) -> AdoptionLedger {
     let mut ledger = AdoptionLedger::default();
     for r in results {
@@ -127,33 +128,34 @@ fn streaming_service_and_one_shot_assessor_agree_across_worker_counts() {
     }
 }
 
+/// The batch (Table 1) use of the one-shot assessor: a month-tagged fleet
+/// yields the serial reference's results and its adoption ledger.
 #[test]
 fn batch_wrapper_matches_the_serial_reference_and_ledger() {
     let requests = cohort(&(0..32).map(|i| 0.4 + (i % 6) as f64).collect::<Vec<f64>>());
     let reference = serial_reference(&requests);
     let expected_ledger = reference_ledger("Oct-21", &reference);
     for workers in WORKER_SWEEP {
-        let service = AssessmentService::new(SkuRecommendationPipeline::new(engine()), workers);
-        let mut ledger = AdoptionLedger::default();
-        let results = service.assess_and_record("Oct-21", &requests, &mut ledger);
-        assert_eq!(results.len(), reference.len());
-        for (got, want) in results.iter().zip(&reference) {
-            assert_results_identical(got, want);
+        let fleet = requests
+            .iter()
+            .map(|r| FleetRequest::new(DeploymentType::SqlDb, r.clone()).with_month("Oct-21"));
+        let out = FleetAssessor::new(engine(), FleetConfig::with_workers(workers)).assess(fleet);
+        assert_eq!(out.results.len(), reference.len());
+        for (got, want) in out.results.iter().zip(&reference) {
+            assert_results_identical(got.outcome.as_ref().unwrap(), want);
         }
-        assert_eq!(ledger, expected_ledger, "ledger at {workers} workers");
+        assert_eq!(out.report.adoption, expected_ledger, "ledger at {workers} workers");
     }
 }
 
 /// Backend equivalence: the same heuristic engine must produce bit-for-bit
-/// identical fleets whether it is consumed concretely
-/// (`FleetAssessor::new`), as a shared trait object
-/// (`SkuRecommendationPipeline::from_shared`), or resolved through the
-/// registry as a `BackendSpec::Heuristic` — and a `LearnedBackend` with an
-/// empty exemplar corpus is contractually pure fallback, so it must match
-/// all of them too. At every worker count.
+/// identical fleets whether it is handed to the assessor
+/// (`FleetAssessor::new`) or resolved through the registry as a
+/// `BackendSpec::Heuristic` — and a `LearnedBackend` with an empty exemplar
+/// corpus is contractually pure fallback, so it must match both too. At
+/// every worker count.
 #[test]
 fn backend_paths_are_bit_for_bit_equivalent_across_worker_counts() {
-    use doppler::dma::SkuRecommendationPipeline;
     use std::sync::Arc;
 
     let requests = cohort(&(0..40).map(|i| 0.25 + (i % 8) as f64 * 0.8).collect::<Vec<f64>>());
@@ -167,16 +169,7 @@ fn backend_paths_are_bit_for_bit_equivalent_across_worker_counts() {
             FleetAssessor::new(engine(), FleetConfig::with_workers(workers)).assess(fleet.clone());
         assert_eq!(concrete.report, baseline.report, "concrete at {workers} workers");
 
-        // Path 2: the same engine behind an explicit trait-object handle.
-        let shared: Arc<dyn RecommendationBackend> = Arc::new(engine());
-        let trait_object = FleetAssessor::from_pipeline(
-            Arc::new(SkuRecommendationPipeline::from_shared(shared)),
-            FleetConfig::with_workers(workers),
-        )
-        .assess(fleet.clone());
-        assert_eq!(trait_object.report, baseline.report, "trait object at {workers} workers");
-
-        // Path 3: registry-resolved heuristic backend.
+        // Path 2: registry-resolved heuristic backend.
         let registry =
             Arc::new(EngineRegistry::new(Arc::new(InMemoryCatalogProvider::production())));
         let registered =
@@ -189,7 +182,7 @@ fn backend_paths_are_bit_for_bit_equivalent_across_worker_counts() {
         assert_eq!(registered.report, baseline.report, "registry at {workers} workers");
         assert_eq!(registry.stats().misses, 1);
 
-        // Path 4: the learned backend with an empty corpus is pure fallback.
+        // Path 3: the learned backend with an empty corpus is pure fallback.
         let learned = LearnedBackend::train(
             azure_paas_catalog(&CatalogSpec::default()),
             EngineConfig::production(DeploymentType::SqlDb),
@@ -201,7 +194,7 @@ fn backend_paths_are_bit_for_bit_equivalent_across_worker_counts() {
         assert_eq!(fallback.report, baseline.report, "empty-corpus learned at {workers} workers");
 
         // Per-instance results, not just aggregates.
-        for run in [&concrete, &trait_object, &registered, &fallback] {
+        for run in [&concrete, &registered, &fallback] {
             assert_eq!(run.results.len(), baseline.results.len());
             for (got, want) in run.results.iter().zip(&baseline.results) {
                 assert_eq!(got.instance_name, want.instance_name);
@@ -217,9 +210,10 @@ fn backend_paths_are_bit_for_bit_equivalent_across_worker_counts() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Any random cohort: streaming submission, the one-shot assessor, and
-    /// the DMA batch wrapper agree bit-for-bit — reports, results, ledger —
-    /// at 1, 4, and 8 workers.
+    /// Any random cohort: streaming submission and the one-shot assessor
+    /// agree bit-for-bit with each other and the serial reference —
+    /// reports, results, and a month-tagged fleet's adoption ledger — at 1,
+    /// 4, and 8 workers.
     #[test]
     fn any_cohort_is_path_and_worker_count_invariant(
         cpus in prop::collection::vec(0.1..24.0f64, 1..24),
@@ -251,16 +245,16 @@ proptest! {
                 prop_assert_eq!(got.recommendation.monthly_cost, want.recommendation.monthly_cost);
             }
 
-            // Path 3: the DMA batch wrapper, with adoption recording.
-            let service =
-                AssessmentService::new(SkuRecommendationPipeline::new(engine()), workers);
-            let mut ledger = AdoptionLedger::default();
-            let results = service.assess_and_record(month, &requests, &mut ledger);
-            for (got, want) in results.iter().zip(&reference) {
+            // Path 3: the one-shot assessor over a month-tagged fleet, with
+            // adoption recording.
+            let tagged = FleetAssessor::new(engine(), FleetConfig::with_workers(workers))
+                .assess(fleet.iter().cloned().map(|r| r.with_month(month)));
+            for (got, want) in tagged.results.iter().zip(&reference) {
+                let got = got.outcome.as_ref().unwrap();
                 prop_assert_eq!(&got.recommendation.sku_id, &want.recommendation.sku_id);
                 prop_assert_eq!(&got.recommendation, &want.recommendation);
             }
-            prop_assert_eq!(&ledger, &expected_ledger);
+            prop_assert_eq!(&tagged.report.adoption, &expected_ledger);
         }
     }
 }
