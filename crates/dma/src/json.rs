@@ -1,4 +1,4 @@
-//! A minimal self-contained JSON value type, writer, and parser.
+//! A minimal self-contained JSON value type, writer, parser, and codec.
 //!
 //! The Resource Use Module exports machine-readable reports; the build
 //! environment cannot vendor `serde_json`, so this module provides the
@@ -6,6 +6,29 @@
 //! printing, strict parsing, and typed accessors. Numbers are `f64`
 //! round-tripped via Rust's shortest-representation formatting, which is
 //! lossless for every finite double.
+//!
+//! Every export (the Resource Use Report, the obs snapshot, and the fleet
+//! crate's A/B, back-test and schedule reports) goes through one
+//! [`JsonCodec`] trait. Flat records implement it with
+//! [`json_record!`](crate::json_record), which names each field once for
+//! both directions:
+//!
+//! ```
+//! use doppler_dma::json::{Json, JsonCodec};
+//!
+//! #[derive(Debug, PartialEq)]
+//! struct Row {
+//!     sku: String,
+//!     cost: f64,
+//!     confidence: Option<f64>,
+//! }
+//! doppler_dma::json_record!(Row { sku, cost, confidence });
+//!
+//! let row = Row { sku: "DB_GP_2".into(), cost: 370.25, confidence: None };
+//! let text = row.to_json().render_pretty();
+//! assert!(text.contains("\"confidence\": null"));
+//! assert_eq!(Row::from_json(&Json::parse(&text).unwrap()), Some(row));
+//! ```
 
 use std::fmt::Write as _;
 
@@ -48,14 +71,6 @@ impl Json {
         match self {
             Json::Arr(xs) => Some(xs),
             _ => None,
-        }
-    }
-
-    /// `Null` becomes `None`, anything else `Some`.
-    pub fn non_null(&self) -> Option<&Json> {
-        match self {
-            Json::Null => None,
-            other => Some(other),
         }
     }
 
@@ -110,6 +125,143 @@ impl Json {
             return Err(format!("trailing characters at byte {pos}"));
         }
         Ok(value)
+    }
+}
+
+/// A type with one JSON form. `T::from_json(&x.to_json())` gives back `x`
+/// for every value whose floats are finite (the writer spills non-finite
+/// numbers as `null`). Decoding is strict: `None` whenever any part of the
+/// tree has the wrong shape or type, including a mistyped optional field.
+pub trait JsonCodec: Sized {
+    fn to_json(&self) -> Json;
+    fn from_json(json: &Json) -> Option<Self>;
+}
+
+/// Implement [`JsonCodec`] for a struct as one JSON object key per listed
+/// field, written and read in the listed order. Every field must be listed
+/// (decoding builds the struct literal) and implement [`JsonCodec`].
+#[macro_export]
+macro_rules! json_record {
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        impl $crate::json::JsonCodec for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::Obj(vec![$((
+                    stringify!($field).to_string(),
+                    $crate::json::JsonCodec::to_json(&self.$field),
+                )),+])
+            }
+
+            fn from_json(json: &$crate::json::Json) -> Option<Self> {
+                Some(Self {
+                    $($field: $crate::json::JsonCodec::from_json(json.get(stringify!($field))?)?),+
+                })
+            }
+        }
+    };
+}
+
+impl JsonCodec for f64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
+    }
+
+    fn from_json(json: &Json) -> Option<f64> {
+        json.as_f64()
+    }
+}
+
+macro_rules! integer_codec {
+    ($($int:ty),+) => {$(
+        impl JsonCodec for $int {
+            fn to_json(&self) -> Json {
+                Json::Num(*self as f64)
+            }
+
+            /// Only a number the integer converts back to exactly, so a
+            /// fraction or a negative unsigned value fails.
+            fn from_json(json: &Json) -> Option<$int> {
+                let x = json.as_f64()?;
+                let n = x as $int;
+                (n as f64 == x).then_some(n)
+            }
+        }
+    )+};
+}
+
+integer_codec!(usize, u64, i64);
+
+impl JsonCodec for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+
+    fn from_json(json: &Json) -> Option<bool> {
+        match json {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+impl JsonCodec for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+
+    fn from_json(json: &Json) -> Option<String> {
+        json.as_str().map(str::to_string)
+    }
+}
+
+/// `None` is `null`; `Some(x)` is `x`'s own form.
+impl<T: JsonCodec> JsonCodec for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
+    }
+
+    fn from_json(json: &Json) -> Option<Option<T>> {
+        match json {
+            Json::Null => Some(None),
+            other => T::from_json(other).map(Some),
+        }
+    }
+}
+
+impl<T: JsonCodec> JsonCodec for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+
+    fn from_json(json: &Json) -> Option<Vec<T>> {
+        json.as_arr()?.iter().map(T::from_json).collect()
+    }
+}
+
+/// A pair is a two-element array.
+impl<A: JsonCodec, B: JsonCodec> JsonCodec for (A, B) {
+    fn to_json(&self) -> Json {
+        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    }
+
+    fn from_json(json: &Json) -> Option<(A, B)> {
+        match json.as_arr()? {
+            [a, b] => Some((A::from_json(a)?, B::from_json(b)?)),
+            _ => None,
+        }
+    }
+}
+
+/// A triple is a three-element array.
+impl<A: JsonCodec, B: JsonCodec, C: JsonCodec> JsonCodec for (A, B, C) {
+    fn to_json(&self) -> Json {
+        Json::Arr(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
+    }
+
+    fn from_json(json: &Json) -> Option<(A, B, C)> {
+        match json.as_arr()? {
+            [a, b, c] => Some((A::from_json(a)?, B::from_json(b)?, C::from_json(c)?)),
+            _ => None,
+        }
     }
 }
 
@@ -385,7 +537,7 @@ mod tests {
         let v = Json::parse(r#"{"a": [1.5, {"b": "c"}], "d": null}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_f64(), Some(1.5));
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[1].get("b").unwrap().as_str(), Some("c"));
-        assert!(v.get("d").unwrap().non_null().is_none());
+        assert_eq!(v.get("d"), Some(&Json::Null));
         assert!(v.get("missing").is_none());
     }
 
@@ -423,5 +575,63 @@ mod tests {
         assert!(Json::parse("1.0 x").is_err());
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{\"a\" 1}").is_err());
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Record {
+        name: String,
+        count: usize,
+        pair: (f64, bool),
+        rows: Vec<(String, i64, u64)>,
+        note: Option<String>,
+    }
+
+    crate::json_record!(Record { name, count, pair, rows, note });
+
+    fn record() -> Record {
+        Record {
+            name: "a \"b\"\n".into(),
+            count: 3,
+            pair: (-0.5, true),
+            rows: vec![("x".into(), -7, 1 << 40)],
+            note: None,
+        }
+    }
+
+    #[test]
+    fn records_write_fields_in_order_and_round_trip() {
+        let json = record().to_json();
+        let keys: Vec<&str> = match &json {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => panic!("a record is an object"),
+        };
+        assert_eq!(keys, ["name", "count", "pair", "rows", "note"]);
+        let text = json.render_pretty();
+        assert_eq!(Record::from_json(&Json::parse(&text).unwrap()), Some(record()));
+    }
+
+    #[test]
+    fn decoding_is_strict() {
+        let with = |key: &str, value: Json| match record().to_json() {
+            Json::Obj(mut fields) => {
+                fields.iter_mut().filter(|(k, _)| k == key).for_each(|(_, v)| *v = value.clone());
+                Json::Obj(fields)
+            }
+            _ => unreachable!(),
+        };
+        assert!(Record::from_json(&with("note", Json::Str("ok".into()))).is_some());
+        // A mistyped optional field fails the whole record.
+        assert_eq!(Record::from_json(&with("note", Json::Num(1.0))), None);
+        assert_eq!(Record::from_json(&with("count", Json::Num(2.5))), None);
+        assert_eq!(Record::from_json(&with("count", Json::Num(-1.0))), None);
+        assert_eq!(Record::from_json(&with("pair", Json::Arr(vec![Json::Num(1.0)]))), None);
+        assert_eq!(
+            Record::from_json(&with("pair", Json::Arr(vec![Json::Num(1.0), Json::Num(1.0)]))),
+            None
+        );
+        assert_eq!(Record::from_json(&Json::Obj(vec![])), None);
+        assert_eq!(i64::from_json(&Json::Num(-7.0)), Some(-7));
+        assert_eq!(u64::from_json(&Json::Num(-7.0)), None);
+        assert_eq!(bool::from_json(&Json::Num(1.0)), None);
     }
 }

@@ -28,7 +28,6 @@ pub mod preprocess;
 pub mod report;
 
 pub use assessment::{AdoptionLedger, MonthlyAdoption};
-pub use obs_export::{obs_snapshot_from_json, obs_snapshot_to_json};
 pub use pipeline::{AssessmentRequest, AssessmentResult, SkuRecommendationPipeline};
 pub use preprocess::{DatabaseTelemetry, PreprocessedInstance, RawCounterSet};
 pub use report::{render_text_report, ResourceUseReport};

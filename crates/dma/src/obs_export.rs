@@ -1,10 +1,11 @@
 //! [`ObsSnapshot`] ⇄ [`Json`] conversion — the machine-readable side of the
 //! observability surface. The ASCII dashboard ([`ObsSnapshot::render`]) is
 //! for terminals; this module is for artifacts: CI jobs export a snapshot
-//! with [`obs_snapshot_to_json`], archive the rendered text, and later runs
-//! re-load it with [`obs_snapshot_from_json`] to diff trajectories.
+//! with [`JsonCodec::to_json`], archive the rendered text, and later runs
+//! re-load it with [`JsonCodec::from_json`] to diff trajectories.
 //!
-//! Schema (all latencies in integer nanoseconds):
+//! Schema (all latencies in integer nanoseconds; counters and gauges are
+//! `{name: value}` objects in the snapshot's name-sorted order):
 //!
 //! ```json
 //! {
@@ -24,127 +25,49 @@
 
 use doppler_obs::{HistogramSummary, ObsEvent, ObsSnapshot};
 
-use crate::json::Json;
+use crate::json::{Json, JsonCodec};
+use crate::json_record;
 
-fn num(n: u64) -> Json {
-    Json::Num(n as f64)
+json_record!(HistogramSummary { name, count, mean_ns, p50_ns, p95_ns, p99_ns, max_ns });
+json_record!(ObsEvent { seq, at_ns, name, detail });
+
+/// Lossless for the integer range `f64` covers exactly (counters and
+/// nanosecond latencies far below 2^53).
+impl JsonCodec for ObsSnapshot {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("enabled".into(), self.enabled.to_json()),
+            ("uptime_ns".into(), self.uptime_ns.to_json()),
+            ("counters".into(), named_to_json(&self.counters)),
+            ("gauges".into(), named_to_json(&self.gauges)),
+            ("histograms".into(), self.histograms.to_json()),
+            ("events".into(), self.events.to_json()),
+        ])
+    }
+
+    fn from_json(json: &Json) -> Option<ObsSnapshot> {
+        Some(ObsSnapshot {
+            enabled: JsonCodec::from_json(json.get("enabled")?)?,
+            uptime_ns: JsonCodec::from_json(json.get("uptime_ns")?)?,
+            counters: named_from_json(json.get("counters")?)?,
+            gauges: named_from_json(json.get("gauges")?)?,
+            histograms: JsonCodec::from_json(json.get("histograms")?)?,
+            events: JsonCodec::from_json(json.get("events")?)?,
+        })
+    }
 }
 
-/// Export a snapshot as a [`Json`] tree following the module-level schema.
-/// Counter/gauge maps preserve the snapshot's name-sorted order. The
-/// conversion is lossless for the integer range `f64` covers exactly
-/// (counters and nanosecond latencies far below 2^53), so
-/// [`obs_snapshot_from_json`] round-trips it.
-pub fn obs_snapshot_to_json(snapshot: &ObsSnapshot) -> Json {
-    Json::Obj(vec![
-        ("enabled".into(), Json::Bool(snapshot.enabled)),
-        ("uptime_ns".into(), num(snapshot.uptime_ns)),
-        (
-            "counters".into(),
-            Json::Obj(snapshot.counters.iter().map(|(n, v)| (n.clone(), num(*v))).collect()),
-        ),
-        (
-            "gauges".into(),
-            Json::Obj(
-                snapshot.gauges.iter().map(|(n, v)| (n.clone(), Json::Num(*v as f64))).collect(),
-            ),
-        ),
-        (
-            "histograms".into(),
-            Json::Arr(
-                snapshot
-                    .histograms
-                    .iter()
-                    .map(|h| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::Str(h.name.clone())),
-                            ("count".into(), num(h.count)),
-                            ("mean_ns".into(), num(h.mean_ns)),
-                            ("p50_ns".into(), num(h.p50_ns)),
-                            ("p95_ns".into(), num(h.p95_ns)),
-                            ("p99_ns".into(), num(h.p99_ns)),
-                            ("max_ns".into(), num(h.max_ns)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "events".into(),
-            Json::Arr(
-                snapshot
-                    .events
-                    .iter()
-                    .map(|e| {
-                        Json::Obj(vec![
-                            ("seq".into(), num(e.seq)),
-                            ("at_ns".into(), num(e.at_ns)),
-                            ("name".into(), Json::Str(e.name.clone())),
-                            ("detail".into(), Json::Str(e.detail.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+fn named_to_json<T: JsonCodec>(pairs: &[(String, T)]) -> Json {
+    Json::Obj(pairs.iter().map(|(name, value)| (name.clone(), value.to_json())).collect())
 }
 
-fn get_u64(json: &Json, key: &str) -> Option<u64> {
-    Some(json.get(key)?.as_f64()? as u64)
-}
-
-fn get_str(json: &Json, key: &str) -> Option<String> {
-    Some(json.get(key)?.as_str()?.to_string())
-}
-
-/// Re-load a snapshot exported by [`obs_snapshot_to_json`]. `None` when the
-/// tree does not follow the schema — the CI round-trip validation treats
-/// that as a broken artifact.
-pub fn obs_snapshot_from_json(json: &Json) -> Option<ObsSnapshot> {
-    let enabled = matches!(json.get("enabled")?, Json::Bool(true));
-    let pairs = |key: &str| -> Option<Vec<(String, f64)>> {
-        match json.get(key)? {
-            Json::Obj(entries) => {
-                entries.iter().map(|(name, value)| Some((name.clone(), value.as_f64()?))).collect()
-            }
-            _ => None,
+fn named_from_json<T: JsonCodec>(json: &Json) -> Option<Vec<(String, T)>> {
+    match json {
+        Json::Obj(entries) => {
+            entries.iter().map(|(name, value)| Some((name.clone(), T::from_json(value)?))).collect()
         }
-    };
-    Some(ObsSnapshot {
-        enabled,
-        uptime_ns: get_u64(json, "uptime_ns")?,
-        counters: pairs("counters")?.into_iter().map(|(n, v)| (n, v as u64)).collect(),
-        gauges: pairs("gauges")?.into_iter().map(|(n, v)| (n, v as i64)).collect(),
-        histograms: json
-            .get("histograms")?
-            .as_arr()?
-            .iter()
-            .map(|h| {
-                Some(HistogramSummary {
-                    name: get_str(h, "name")?,
-                    count: get_u64(h, "count")?,
-                    mean_ns: get_u64(h, "mean_ns")?,
-                    p50_ns: get_u64(h, "p50_ns")?,
-                    p95_ns: get_u64(h, "p95_ns")?,
-                    p99_ns: get_u64(h, "p99_ns")?,
-                    max_ns: get_u64(h, "max_ns")?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?,
-        events: json
-            .get("events")?
-            .as_arr()?
-            .iter()
-            .map(|e| {
-                Some(ObsEvent {
-                    seq: get_u64(e, "seq")?,
-                    at_ns: get_u64(e, "at_ns")?,
-                    name: get_str(e, "name")?,
-                    detail: get_str(e, "detail")?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?,
-    })
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -167,25 +90,25 @@ mod tests {
     #[test]
     fn snapshot_round_trips_through_json_text() {
         let snapshot = populated_snapshot();
-        let text = obs_snapshot_to_json(&snapshot).render_pretty();
+        let text = snapshot.to_json().render_pretty();
         let parsed = Json::parse(&text).expect("rendered JSON parses");
-        let back = obs_snapshot_from_json(&parsed).expect("schema round-trips");
+        let back = ObsSnapshot::from_json(&parsed).expect("schema round-trips");
         assert_eq!(back, snapshot);
     }
 
     #[test]
     fn disabled_snapshot_round_trips_too() {
         let snapshot = ObsRegistry::disabled().snapshot();
-        let json = obs_snapshot_to_json(&snapshot);
-        assert_eq!(obs_snapshot_from_json(&json), Some(snapshot));
+        let json = snapshot.to_json();
+        assert_eq!(ObsSnapshot::from_json(&json), Some(snapshot));
     }
 
     #[test]
     fn malformed_trees_return_none() {
-        assert_eq!(obs_snapshot_from_json(&Json::Null), None);
+        assert_eq!(ObsSnapshot::from_json(&Json::Null), None);
         let missing = Json::Obj(vec![("enabled".into(), Json::Bool(true))]);
-        assert_eq!(obs_snapshot_from_json(&missing), None);
-        let mut snapshot_json = match obs_snapshot_to_json(&populated_snapshot()) {
+        assert_eq!(ObsSnapshot::from_json(&missing), None);
+        let mut snapshot_json = match populated_snapshot().to_json() {
             Json::Obj(entries) => entries,
             _ => unreachable!(),
         };
@@ -194,6 +117,6 @@ mod tests {
                 *value = Json::Str("not an array".into());
             }
         }
-        assert_eq!(obs_snapshot_from_json(&Json::Obj(snapshot_json)), None);
+        assert_eq!(ObsSnapshot::from_json(&Json::Obj(snapshot_json)), None);
     }
 }

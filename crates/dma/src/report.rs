@@ -7,7 +7,8 @@
 //! received a specific SKU recommendation."
 //!
 //! The terminal is our dashboard: summaries and ECDF grids render as text,
-//! and the whole report serializes to JSON for machine consumers.
+//! and the whole report serializes to JSON for machine consumers through
+//! [`JsonCodec`].
 //!
 //! The dashboard is not part of an assessment: `SkuRecommendationPipeline::assess`
 //! returns the recommendation only, and callers that show the dashboard
@@ -18,7 +19,8 @@ use doppler_core::Recommendation;
 use doppler_stats::Summary;
 use doppler_telemetry::{PerfDimension, PerfHistory};
 
-use crate::json::Json;
+use crate::json::{Json, JsonCodec};
+use crate::json_record;
 
 /// Distribution data for one perf dimension.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -76,132 +78,27 @@ impl ResourceUseReport {
             confidence: recommendation.confidence,
         }
     }
+}
 
-    /// Serialize to pretty JSON.
-    pub fn to_json(&self) -> String {
-        let dims = self
-            .dimension_summaries
-            .iter()
-            .map(|d| {
-                Json::Obj(vec![
-                    ("dimension".into(), Json::Str(d.dimension.to_string())),
-                    ("unit".into(), Json::Str(d.unit.clone())),
-                    (
-                        "summary".into(),
-                        Json::Obj(vec![
-                            ("count".into(), Json::Num(d.summary.count as f64)),
-                            ("mean".into(), Json::Num(d.summary.mean)),
-                            ("stddev".into(), Json::Num(d.summary.stddev)),
-                            ("min".into(), Json::Num(d.summary.min)),
-                            ("p25".into(), Json::Num(d.summary.p25)),
-                            ("median".into(), Json::Num(d.summary.median)),
-                            ("p75".into(), Json::Num(d.summary.p75)),
-                            ("p95".into(), Json::Num(d.summary.p95)),
-                            ("max".into(), Json::Num(d.summary.max)),
-                        ]),
-                    ),
-                    (
-                        "ecdf".into(),
-                        Json::Arr(
-                            d.ecdf
-                                .iter()
-                                .map(|&(x, f)| Json::Arr(vec![Json::Num(x), Json::Num(f)]))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        let curve = self
-            .curve_rows
-            .iter()
-            .map(|(sku, cost, score)| {
-                Json::Arr(vec![Json::Str(sku.clone()), Json::Num(*cost), Json::Num(*score)])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("dimension_summaries".into(), Json::Arr(dims)),
-            ("curve_rows".into(), Json::Arr(curve)),
-            (
-                "recommended_sku".into(),
-                self.recommended_sku.clone().map(Json::Str).unwrap_or(Json::Null),
-            ),
-            ("explanation".into(), Json::Str(self.explanation.clone())),
-            ("confidence".into(), self.confidence.map(Json::Num).unwrap_or(Json::Null)),
-        ])
-        .render_pretty()
+json_record!(Summary { count, mean, stddev, min, p25, median, p75, p95, max });
+json_record!(DimensionReport { dimension, unit, summary, ecdf });
+json_record!(ResourceUseReport {
+    dimension_summaries,
+    curve_rows,
+    recommended_sku,
+    explanation,
+    confidence,
+});
+
+/// A dimension travels as its display name (`"Cpu"`, `"IoLatency"`, ...).
+impl JsonCodec for PerfDimension {
+    fn to_json(&self) -> Json {
+        Json::Str(self.to_string())
     }
 
-    /// Reconstruct a report from [`ResourceUseReport::to_json`] output.
-    pub fn from_json(text: &str) -> Result<ResourceUseReport, String> {
-        let v = Json::parse(text)?;
-        let field = |key: &str| v.get(key).ok_or_else(|| format!("missing field '{key}'"));
-        let num =
-            |j: &Json, what: &str| j.as_f64().ok_or_else(|| format!("'{what}' is not a number"));
-
-        let mut dimension_summaries = Vec::new();
-        for d in field("dimension_summaries")?.as_arr().ok_or("summaries not an array")? {
-            let name = d.get("dimension").and_then(Json::as_str).ok_or("missing dimension")?;
-            let dimension = PerfDimension::ALL
-                .into_iter()
-                .find(|dim| dim.to_string() == name)
-                .ok_or_else(|| format!("unknown dimension '{name}'"))?;
-            let s = d.get("summary").ok_or("missing summary")?;
-            let sfield = |key: &str| {
-                s.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("missing summary field '{key}'"))
-            };
-            let mut ecdf = Vec::new();
-            for pair in d.get("ecdf").and_then(Json::as_arr).ok_or("missing ecdf")? {
-                let pair =
-                    pair.as_arr().filter(|p| p.len() == 2).ok_or("ecdf row is not a pair")?;
-                ecdf.push((num(&pair[0], "ecdf x")?, num(&pair[1], "ecdf F")?));
-            }
-            dimension_summaries.push(DimensionReport {
-                dimension,
-                unit: d.get("unit").and_then(Json::as_str).ok_or("missing unit")?.to_string(),
-                summary: Summary {
-                    count: sfield("count")? as usize,
-                    mean: sfield("mean")?,
-                    stddev: sfield("stddev")?,
-                    min: sfield("min")?,
-                    p25: sfield("p25")?,
-                    median: sfield("median")?,
-                    p75: sfield("p75")?,
-                    p95: sfield("p95")?,
-                    max: sfield("max")?,
-                },
-                ecdf,
-            });
-        }
-
-        let mut curve_rows = Vec::new();
-        for row in field("curve_rows")?.as_arr().ok_or("curve_rows not an array")? {
-            let row = row.as_arr().filter(|r| r.len() == 3).ok_or("curve row is not a triple")?;
-            curve_rows.push((
-                row[0].as_str().ok_or("curve row SKU not a string")?.to_string(),
-                num(&row[1], "curve row cost")?,
-                num(&row[2], "curve row score")?,
-            ));
-        }
-
-        Ok(ResourceUseReport {
-            dimension_summaries,
-            curve_rows,
-            recommended_sku: field("recommended_sku")?
-                .non_null()
-                .map(|j| j.as_str().map(str::to_string).ok_or("SKU not a string"))
-                .transpose()?,
-            explanation: field("explanation")?
-                .as_str()
-                .ok_or("explanation not a string")?
-                .to_string(),
-            confidence: field("confidence")?
-                .non_null()
-                .map(|j| num(j, "confidence"))
-                .transpose()?,
-        })
+    fn from_json(json: &Json) -> Option<PerfDimension> {
+        let name = json.as_str()?;
+        PerfDimension::ALL.into_iter().find(|dim| dim.to_string() == name)
     }
 }
 
@@ -277,22 +174,23 @@ mod tests {
     fn json_round_trips() {
         let (h, rec) = fixture();
         let r = ResourceUseReport::build(&h, &rec);
-        let json = r.to_json();
-        let back = ResourceUseReport::from_json(&json).unwrap();
+        let text = r.to_json().render_pretty();
+        let back = ResourceUseReport::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, r);
     }
 
     #[test]
     fn malformed_rows_error_instead_of_panicking() {
+        let decode = |text: &str| ResourceUseReport::from_json(&Json::parse(text).unwrap());
         let short_curve_row = r#"{"dimension_summaries": [], "curve_rows": [["sku"]],
             "recommended_sku": null, "explanation": "", "confidence": null}"#;
-        assert!(ResourceUseReport::from_json(short_curve_row).is_err());
+        assert!(decode(short_curve_row).is_none());
         let short_ecdf_pair = r#"{"dimension_summaries": [{"dimension": "Cpu", "unit": "vCores",
             "summary": {"count": 1.0, "mean": 0.0, "stddev": 0.0, "min": 0.0, "p25": 0.0,
                         "median": 0.0, "p75": 0.0, "p95": 0.0, "max": 0.0},
             "ecdf": [[1.0]]}],
             "curve_rows": [], "recommended_sku": null, "explanation": "", "confidence": null}"#;
-        assert!(ResourceUseReport::from_json(short_ecdf_pair).is_err());
+        assert!(decode(short_ecdf_pair).is_none());
     }
 
     #[test]

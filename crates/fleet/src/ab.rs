@@ -19,7 +19,7 @@
 //!   recommendation-count columns, SKU agreement, and an adoption row
 //!   estimating what switching to the challenger where it is cheaper would
 //!   save — rendered in the ASCII dashboard and exported via
-//!   [`doppler_dma::json`] ([`ab_summary_to_json`]).
+//!   [`doppler_dma::json`] ([`AbSummary`] implements [`JsonCodec`]).
 //!
 //! ```
 //! use doppler_core::{DopplerEngine, EngineConfig};
@@ -55,7 +55,8 @@
 //! assert_eq!(ab.sku_agreements, 4, "identical backends always agree");
 //! ```
 
-use doppler_dma::json::Json;
+use doppler_dma::json::{Json, JsonCodec};
+use doppler_dma::json_record;
 
 use crate::assessor::{FleetAssessment, FleetAssessor, FleetRequest};
 use crate::report::FleetReport;
@@ -142,7 +143,17 @@ impl AbFleet {
     /// with distinct [`BackendSpec`](doppler_core::BackendSpec)s); sharing
     /// one registry between the sides is safe and costs one training per
     /// `(key, backend)`.
+    ///
+    /// # Panics
+    ///
+    /// When either side's [`FleetConfig::keep_results`](crate::FleetConfig::keep_results)
+    /// is false: the comparison pairs per-instance results, and a side
+    /// without them would score nothing.
     pub fn new(champion: FleetAssessor, challenger: FleetAssessor) -> AbFleet {
+        assert!(
+            champion.config().keep_results && challenger.config().keep_results,
+            "AbFleet pairs per-instance results: both assessors need FleetConfig::keep_results"
+        );
         AbFleet {
             champion,
             challenger,
@@ -418,68 +429,43 @@ fn side_summary(backend: String, run: &FleetAssessment) -> AbSideSummary {
     }
 }
 
-fn side_to_json(side: &AbSideSummary) -> Json {
-    Json::Obj(vec![
-        ("backend".into(), Json::Str(side.backend.clone())),
-        ("recommended".into(), Json::Num(side.recommended as f64)),
-        ("unrecommended".into(), Json::Num(side.unrecommended as f64)),
-        ("total_monthly_cost".into(), Json::Num(side.total_monthly_cost)),
-        ("mean_monthly_cost".into(), side.mean_monthly_cost.map_or(Json::Null, Json::Num)),
-        ("mean_confidence".into(), side.mean_confidence.map_or(Json::Null, Json::Num)),
-    ])
-}
+json_record!(AbSideSummary {
+    backend,
+    recommended,
+    unrecommended,
+    total_monthly_cost,
+    mean_monthly_cost,
+    mean_confidence,
+});
+json_record!(AbAdoption { challenger_cheaper, projected_monthly_savings });
+json_record!(AbSummary {
+    champion,
+    challenger,
+    paired,
+    both_recommended,
+    sku_agreements,
+    adoption
+});
 
-fn side_from_json(json: &Json) -> Option<AbSideSummary> {
-    Some(AbSideSummary {
-        backend: json.get("backend")?.as_str()?.to_string(),
-        recommended: json.get("recommended")?.as_f64()? as usize,
-        unrecommended: json.get("unrecommended")?.as_f64()? as usize,
-        total_monthly_cost: json.get("total_monthly_cost")?.as_f64()?,
-        mean_monthly_cost: json.get("mean_monthly_cost")?.non_null().and_then(Json::as_f64),
-        mean_confidence: json.get("mean_confidence")?.non_null().and_then(Json::as_f64),
-    })
-}
+/// An event travels as `"none"`, `"promoted"` or `"demoted"`.
+impl JsonCodec for RolloutEvent {
+    fn to_json(&self) -> Json {
+        let name = match self {
+            RolloutEvent::None => "none",
+            RolloutEvent::Promoted => "promoted",
+            RolloutEvent::Demoted => "demoted",
+        };
+        Json::Str(name.into())
+    }
 
-/// Export an [`AbSummary`] as a [`doppler_dma::json`] value — the A/B
-/// analogue of the obs-snapshot export, losslessly re-parsable with
-/// [`ab_summary_from_json`].
-pub fn ab_summary_to_json(summary: &AbSummary) -> Json {
-    Json::Obj(vec![
-        ("champion".into(), side_to_json(&summary.champion)),
-        ("challenger".into(), side_to_json(&summary.challenger)),
-        ("paired".into(), Json::Num(summary.paired as f64)),
-        ("both_recommended".into(), Json::Num(summary.both_recommended as f64)),
-        ("sku_agreements".into(), Json::Num(summary.sku_agreements as f64)),
-        (
-            "adoption".into(),
-            Json::Obj(vec![
-                (
-                    "challenger_cheaper".into(),
-                    Json::Num(summary.adoption.challenger_cheaper as f64),
-                ),
-                (
-                    "projected_monthly_savings".into(),
-                    Json::Num(summary.adoption.projected_monthly_savings),
-                ),
-            ]),
-        ),
-    ])
-}
-
-/// Re-parse an exported A/B summary; `None` on any structural mismatch.
-pub fn ab_summary_from_json(json: &Json) -> Option<AbSummary> {
-    let adoption = json.get("adoption")?;
-    Some(AbSummary {
-        champion: side_from_json(json.get("champion")?)?,
-        challenger: side_from_json(json.get("challenger")?)?,
-        paired: json.get("paired")?.as_f64()? as usize,
-        both_recommended: json.get("both_recommended")?.as_f64()? as usize,
-        sku_agreements: json.get("sku_agreements")?.as_f64()? as usize,
-        adoption: AbAdoption {
-            challenger_cheaper: adoption.get("challenger_cheaper")?.as_f64()? as usize,
-            projected_monthly_savings: adoption.get("projected_monthly_savings")?.as_f64()?,
-        },
-    })
+    fn from_json(json: &Json) -> Option<RolloutEvent> {
+        match json.as_str()? {
+            "none" => Some(RolloutEvent::None),
+            "promoted" => Some(RolloutEvent::Promoted),
+            "demoted" => Some(RolloutEvent::Demoted),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -627,10 +613,21 @@ mod tests {
         );
         let out = ab.assess(cohort(16));
         let summary = out.report.ab.clone().expect("summary");
-        let rendered = ab_summary_to_json(&summary).render_pretty();
+        let rendered = summary.to_json().render_pretty();
         let parsed = Json::parse(&rendered).expect("valid JSON");
-        let round = ab_summary_from_json(&parsed).expect("structurally complete");
+        let round = AbSummary::from_json(&parsed).expect("structurally complete");
         assert_eq!(round, summary);
+    }
+
+    #[test]
+    #[should_panic(expected = "keep_results")]
+    fn a_side_without_kept_results_is_rejected() {
+        let discard =
+            crate::FleetConfig { keep_results: false, ..crate::FleetConfig::with_workers(2) };
+        AbFleet::new(
+            FleetAssessor::new(engine(), crate::FleetConfig::with_workers(2)),
+            FleetAssessor::new(engine(), discard),
+        );
     }
 
     #[test]

@@ -18,13 +18,13 @@
 //! replay machine itself is a pure function of `(history, SKU)`.
 
 use doppler_catalog::{Catalog, DeploymentType, SkuId};
-use doppler_dma::json::Json;
+use doppler_dma::json_record;
 use doppler_dma::AssessmentRequest;
 use doppler_replay::{replay, ReplayOutcome};
 use doppler_telemetry::PerfHistory;
 use doppler_workload::CloudCustomer;
 
-use crate::assessor::{FleetAssessor, FleetRequest};
+use crate::assessor::{FleetAssessor, FleetRequest, FleetResult};
 
 /// One held-out customer: a demand history plus, optionally, the SKU the
 /// customer actually ran on (the §5 back-test label). When `ground_truth`
@@ -198,7 +198,18 @@ pub struct Backtest {
 impl Backtest {
     /// Build a harness replaying picks against `catalog`. Defaults: p95
     /// latency limit 15 ms, throttle budget 5% of ticks.
+    ///
+    /// # Panics
+    ///
+    /// When either assessor's
+    /// [`FleetConfig::keep_results`](crate::FleetConfig::keep_results) is
+    /// false: every case is scored from its per-instance result, and a side
+    /// without them would score nothing.
     pub fn new(catalog: Catalog, candidate: FleetAssessor, reference: FleetAssessor) -> Backtest {
+        assert!(
+            candidate.config().keep_results && reference.config().keep_results,
+            "Backtest scores per-instance results: both assessors need FleetConfig::keep_results"
+        );
         Backtest {
             catalog,
             candidate,
@@ -289,16 +300,17 @@ impl Backtest {
         let mut candidate_monthly_cost = 0.0f64;
         let mut reference_monthly_cost = 0.0f64;
 
-        for (index, case) in cases.iter().enumerate() {
-            let pick_of = |run: &crate::assessor::FleetAssessment| {
-                run.results
-                    .iter()
-                    .find(|r| r.index == index)
-                    .and_then(|r| r.outcome.as_ref().ok())
-                    .and_then(|a| a.recommendation.sku_id.clone())
-            };
-            let candidate_pick = pick_of(&candidate_run);
-            let reference_pick = case.ground_truth.clone().or_else(|| pick_of(&reference_run));
+        // Both runs keep their results in submission order, so case `i`
+        // pairs with result `i` on each side.
+        debug_assert_eq!(candidate_run.results.len(), cases.len());
+        debug_assert_eq!(reference_run.results.len(), cases.len());
+        let pick_of = |result: &FleetResult| {
+            result.outcome.as_ref().ok().and_then(|a| a.recommendation.sku_id.clone())
+        };
+        let paired = cases.iter().zip(&candidate_run.results).zip(&reference_run.results);
+        for ((case, candidate_result), reference_result) in paired {
+            let candidate_pick = pick_of(candidate_result);
+            let reference_pick = case.ground_truth.clone().or_else(|| pick_of(reference_result));
 
             let candidate = self.score(&case.history, candidate_pick.as_deref());
             let reference = self.score(&case.history, reference_pick.as_deref());
@@ -339,108 +351,30 @@ impl Backtest {
     }
 }
 
-fn score_to_json(score: &ReplayScore) -> Json {
-    Json::Obj(vec![
-        ("sku_id".into(), Json::Str(score.sku_id.clone())),
-        ("monthly_cost".into(), Json::Num(score.monthly_cost)),
-        ("throttle_fraction".into(), Json::Num(score.throttle_fraction)),
-        ("mean_latency_ms".into(), Json::Num(score.mean_latency_ms)),
-        ("p95_latency_ms".into(), Json::Num(score.p95_latency_ms)),
-        ("fits".into(), Json::Num(f64::from(u8::from(score.fits)))),
-    ])
-}
-
-fn score_from_json(json: &Json) -> Option<ReplayScore> {
-    Some(ReplayScore {
-        sku_id: json.get("sku_id")?.as_str()?.to_string(),
-        monthly_cost: json.get("monthly_cost")?.as_f64()?,
-        throttle_fraction: json.get("throttle_fraction")?.as_f64()?,
-        mean_latency_ms: json.get("mean_latency_ms")?.as_f64()?,
-        p95_latency_ms: json.get("p95_latency_ms")?.as_f64()?,
-        fits: json.get("fits")?.as_f64()? != 0.0,
-    })
-}
-
-fn side_to_json(side: &Option<ReplayScore>) -> Json {
-    match side {
-        Some(score) => score_to_json(score),
-        None => Json::Null,
-    }
-}
-
-/// Export a [`BacktestReport`] as a [`doppler_dma::json`] value, losslessly
-/// re-parsable with [`backtest_report_from_json`].
-pub fn backtest_report_to_json(report: &BacktestReport) -> Json {
-    Json::Obj(vec![
-        ("candidate_label".into(), Json::Str(report.candidate_label.clone())),
-        ("reference_label".into(), Json::Str(report.reference_label.clone())),
-        ("latency_limit_ms".into(), Json::Num(report.latency_limit_ms)),
-        ("throttle_budget".into(), Json::Num(report.throttle_budget)),
-        (
-            "cases".into(),
-            Json::Arr(
-                report
-                    .cases
-                    .iter()
-                    .map(|row| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::Str(row.name.clone())),
-                            ("candidate".into(), side_to_json(&row.candidate)),
-                            ("reference".into(), side_to_json(&row.reference)),
-                            ("agreed".into(), Json::Num(f64::from(u8::from(row.agreed)))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("scored_pairs".into(), Json::Num(report.scored_pairs as f64)),
-        ("sku_agreements".into(), Json::Num(report.sku_agreements as f64)),
-        ("candidate_fit".into(), Json::Num(report.candidate_fit as f64)),
-        ("reference_fit".into(), Json::Num(report.reference_fit as f64)),
-        ("candidate_throttle_months".into(), Json::Num(report.candidate_throttle_months as f64)),
-        ("reference_throttle_months".into(), Json::Num(report.reference_throttle_months as f64)),
-        ("candidate_monthly_cost".into(), Json::Num(report.candidate_monthly_cost)),
-        ("reference_monthly_cost".into(), Json::Num(report.reference_monthly_cost)),
-    ])
-}
-
-/// Re-parse an exported back-test report; `None` on structural mismatch.
-pub fn backtest_report_from_json(json: &Json) -> Option<BacktestReport> {
-    let cases = json
-        .get("cases")?
-        .as_arr()?
-        .iter()
-        .map(|row| {
-            Some(BacktestCaseRow {
-                name: row.get("name")?.as_str()?.to_string(),
-                candidate: match row.get("candidate")?.non_null() {
-                    Some(v) => Some(score_from_json(v)?),
-                    None => None,
-                },
-                reference: match row.get("reference")?.non_null() {
-                    Some(v) => Some(score_from_json(v)?),
-                    None => None,
-                },
-                agreed: row.get("agreed")?.as_f64()? != 0.0,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(BacktestReport {
-        candidate_label: json.get("candidate_label")?.as_str()?.to_string(),
-        reference_label: json.get("reference_label")?.as_str()?.to_string(),
-        latency_limit_ms: json.get("latency_limit_ms")?.as_f64()?,
-        throttle_budget: json.get("throttle_budget")?.as_f64()?,
-        cases,
-        scored_pairs: json.get("scored_pairs")?.as_f64()? as usize,
-        sku_agreements: json.get("sku_agreements")?.as_f64()? as usize,
-        candidate_fit: json.get("candidate_fit")?.as_f64()? as usize,
-        reference_fit: json.get("reference_fit")?.as_f64()? as usize,
-        candidate_throttle_months: json.get("candidate_throttle_months")?.as_f64()? as usize,
-        reference_throttle_months: json.get("reference_throttle_months")?.as_f64()? as usize,
-        candidate_monthly_cost: json.get("candidate_monthly_cost")?.as_f64()?,
-        reference_monthly_cost: json.get("reference_monthly_cost")?.as_f64()?,
-    })
-}
+json_record!(ReplayScore {
+    sku_id,
+    monthly_cost,
+    throttle_fraction,
+    mean_latency_ms,
+    p95_latency_ms,
+    fits,
+});
+json_record!(BacktestCaseRow { name, candidate, reference, agreed });
+json_record!(BacktestReport {
+    candidate_label,
+    reference_label,
+    latency_limit_ms,
+    throttle_budget,
+    cases,
+    scored_pairs,
+    sku_agreements,
+    candidate_fit,
+    reference_fit,
+    candidate_throttle_months,
+    reference_throttle_months,
+    candidate_monthly_cost,
+    reference_monthly_cost,
+});
 
 #[cfg(test)]
 mod tests {
@@ -448,6 +382,7 @@ mod tests {
     use crate::assessor::FleetConfig;
     use doppler_catalog::{azure_paas_catalog, CatalogSpec};
     use doppler_core::{DopplerEngine, EngineConfig};
+    use doppler_dma::json::{Json, JsonCodec};
     use doppler_telemetry::{PerfDimension, TimeSeries};
 
     fn history(cpu: f64, iops: f64) -> PerfHistory {
@@ -534,13 +469,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "keep_results")]
+    fn an_assessor_without_kept_results_is_rejected() {
+        let discard = FleetAssessor::new(
+            DopplerEngine::untrained(
+                azure_paas_catalog(&CatalogSpec::default()),
+                EngineConfig::production(DeploymentType::SqlDb),
+            ),
+            FleetConfig { keep_results: false, ..FleetConfig::with_workers(2) },
+        );
+        Backtest::new(azure_paas_catalog(&CatalogSpec::default()), discard, assessor(2));
+    }
+
+    #[test]
     fn json_round_trip_is_lossless() {
         let mut cs = cases(5);
         cs[2].ground_truth = Some("NOT_A_SKU".into());
         let report = harness().run(&cs);
-        let json = backtest_report_to_json(&report);
+        let json = report.to_json();
         let reparsed =
-            backtest_report_from_json(&Json::parse(&json.render_pretty()).unwrap()).unwrap();
+            BacktestReport::from_json(&Json::parse(&json.render_pretty()).unwrap()).unwrap();
         assert_eq!(reparsed, report);
     }
 }

@@ -110,17 +110,14 @@ pub mod shard;
 pub mod source;
 
 pub use ab::{
-    ab_summary_from_json, ab_summary_to_json, AbAdoption, AbAssessment, AbFleet, AbSideSummary,
-    AbSummary, PromotionPolicy, RolloutEvent, RolloutStage, RolloutTracker,
+    AbAdoption, AbAssessment, AbFleet, AbSideSummary, AbSummary, PromotionPolicy, RolloutEvent,
+    RolloutStage, RolloutTracker,
 };
 pub use assessor::{
     AssessmentError, EngineRoute, FleetAssessment, FleetAssessor, FleetConfig, FleetRequest,
     FleetResult,
 };
-pub use backtest::{
-    backtest_report_from_json, backtest_report_to_json, Backtest, BacktestCase, BacktestCaseRow,
-    BacktestReport, ReplayScore,
-};
+pub use backtest::{Backtest, BacktestCase, BacktestCaseRow, BacktestReport, ReplayScore};
 pub use drift::{
     CatalogRollOutcome, DeploymentDriftRow, DriftMonitor, DriftOutcome, DriftPass, DriftProbe,
     DriftVerdict, DriftedRow, FleetDriftReport, MonitoredCustomer, RegionDriftRow,
@@ -130,10 +127,7 @@ pub use report::{
     eligible_recommendations, ConfidenceSummary, DeploymentMixRow, DigestOutcome, FailureRow,
     FleetAggregator, FleetReport, ResultDigest, ShapeMixRow, SkuMixRow,
 };
-pub use scheduler::{
-    schedule_summary_from_json, schedule_summary_to_json, FleetScheduler, ScheduleMonthRow,
-    ScheduleSummary, SimClock, SimMonth,
-};
+pub use scheduler::{FleetScheduler, ScheduleMonthRow, ScheduleSummary, SimClock, SimMonth};
 pub use service::{DriftTicket, FleetService, ServiceProgress, Ticket, TicketQueue};
 pub use shard::ShardPlan;
 pub use source::{cloud_fleet, customer_request, onprem_fleet, onprem_request};

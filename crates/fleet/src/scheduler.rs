@@ -75,7 +75,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use doppler_catalog::{CatalogVersion, PriceFeed, RefreshableCatalogProvider, Region};
-use doppler_dma::json::Json;
+use doppler_dma::json_record;
 use doppler_telemetry::PerfHistory;
 
 use doppler_dma::AssessmentRequest;
@@ -590,125 +590,44 @@ impl FleetScheduler {
     }
 }
 
-fn row_to_json(row: &ScheduleMonthRow) -> Json {
-    Json::Obj(vec![
-        ("month".into(), Json::Str(row.month.clone())),
-        ("onboarded".into(), Json::Num(row.onboarded as f64)),
-        ("telemetry".into(), Json::Num(row.telemetry as f64)),
-        ("feeds".into(), Json::Num(row.feeds as f64)),
-        ("rolls".into(), Json::Num(row.rolls as f64)),
-        ("repriced".into(), Json::Num(row.repriced as f64)),
-        ("reprice_failures".into(), Json::Num(row.reprice_failures as f64)),
-        ("checked".into(), Json::Num(row.checked as f64)),
-        ("drifted".into(), Json::Num(row.drifted as f64)),
-        ("reassessed".into(), Json::Num(row.reassessed as f64)),
-        ("retired_customers".into(), Json::Num(row.retired_customers as f64)),
-        ("retired_engines".into(), Json::Num(row.retired_engines as f64)),
-        ("watched".into(), Json::Num(row.watched as f64)),
-        ("ab_cohort".into(), Json::Num(row.ab_cohort as f64)),
-        ("ab_agreement".into(), row.ab_agreement.map_or(Json::Null, Json::Num)),
-        ("ab_savings".into(), row.ab_savings.map_or(Json::Null, Json::Num)),
-        ("rollout".into(), Json::Str(rollout_event_str(row.rollout).into())),
-    ])
-}
-
-fn rollout_event_str(event: RolloutEvent) -> &'static str {
-    match event {
-        RolloutEvent::None => "none",
-        RolloutEvent::Promoted => "promoted",
-        RolloutEvent::Demoted => "demoted",
-    }
-}
-
-fn rollout_event_from_str(s: &str) -> Option<RolloutEvent> {
-    match s {
-        "none" => Some(RolloutEvent::None),
-        "promoted" => Some(RolloutEvent::Promoted),
-        "demoted" => Some(RolloutEvent::Demoted),
-        _ => None,
-    }
-}
-
-fn row_from_json(json: &Json) -> Option<ScheduleMonthRow> {
-    let num = |key: &str| json.get(key).and_then(Json::as_f64).map(|v| v as usize);
-    Some(ScheduleMonthRow {
-        month: json.get("month")?.as_str()?.to_string(),
-        onboarded: num("onboarded")?,
-        telemetry: num("telemetry")?,
-        feeds: num("feeds")?,
-        rolls: num("rolls")?,
-        repriced: num("repriced")?,
-        reprice_failures: num("reprice_failures")?,
-        checked: num("checked")?,
-        drifted: num("drifted")?,
-        reassessed: num("reassessed")?,
-        retired_customers: num("retired_customers")?,
-        retired_engines: num("retired_engines")?,
-        watched: num("watched")?,
-        ab_cohort: num("ab_cohort")?,
-        ab_agreement: json.get("ab_agreement")?.non_null().and_then(Json::as_f64),
-        ab_savings: json.get("ab_savings")?.non_null().and_then(Json::as_f64),
-        rollout: rollout_event_from_str(json.get("rollout")?.as_str()?)?,
-    })
-}
-
-/// Export a schedule trace as a self-contained JSON value (the
-/// `doppler_dma::json` dialect every other report export uses) — months
-/// array first, totals after, so dashboards can stream the rows.
-pub fn schedule_summary_to_json(summary: &ScheduleSummary) -> Json {
-    Json::Obj(vec![
-        ("start".into(), Json::Str(summary.start.clone())),
-        ("sim_months".into(), Json::Num(summary.sim_months() as f64)),
-        ("months".into(), Json::Arr(summary.months.iter().map(row_to_json).collect())),
-        ("customers_onboarded".into(), Json::Num(summary.customers_onboarded as f64)),
-        ("telemetry_windows".into(), Json::Num(summary.telemetry_windows as f64)),
-        ("feeds_applied".into(), Json::Num(summary.feeds_applied as f64)),
-        ("rolls_dispatched".into(), Json::Num(summary.rolls_dispatched as f64)),
-        ("customers_repriced".into(), Json::Num(summary.customers_repriced as f64)),
-        ("reprice_failures".into(), Json::Num(summary.reprice_failures as f64)),
-        ("drift_checks".into(), Json::Num(summary.drift_checks as f64)),
-        ("drift_detected".into(), Json::Num(summary.drift_detected as f64)),
-        ("reassessments".into(), Json::Num(summary.reassessments as f64)),
-        ("customers_retired".into(), Json::Num(summary.customers_retired as f64)),
-        ("engines_retired".into(), Json::Num(summary.engines_retired as f64)),
-        ("ab_months".into(), Json::Num(summary.ab_months as f64)),
-        ("promotions".into(), Json::Num(summary.promotions as f64)),
-        ("demotions".into(), Json::Num(summary.demotions as f64)),
-        (
-            "promoted_month".into(),
-            summary.promoted_month.as_ref().map_or(Json::Null, |m| Json::Str(m.clone())),
-        ),
-    ])
-}
-
-/// Re-parse an exported schedule trace; `None` on any structural
-/// mismatch. Round-trips [`schedule_summary_to_json`] losslessly.
-pub fn schedule_summary_from_json(json: &Json) -> Option<ScheduleSummary> {
-    let num = |key: &str| json.get(key).and_then(Json::as_f64).map(|v| v as usize);
-    Some(ScheduleSummary {
-        start: json.get("start")?.as_str()?.to_string(),
-        months: json.get("months")?.as_arr()?.iter().map(row_from_json).collect::<Option<_>>()?,
-        customers_onboarded: num("customers_onboarded")?,
-        telemetry_windows: num("telemetry_windows")?,
-        feeds_applied: num("feeds_applied")?,
-        rolls_dispatched: num("rolls_dispatched")?,
-        customers_repriced: num("customers_repriced")?,
-        reprice_failures: num("reprice_failures")?,
-        drift_checks: num("drift_checks")?,
-        drift_detected: num("drift_detected")?,
-        reassessments: num("reassessments")?,
-        customers_retired: num("customers_retired")?,
-        engines_retired: num("engines_retired")?,
-        ab_months: num("ab_months")?,
-        promotions: num("promotions")?,
-        demotions: num("demotions")?,
-        promoted_month: json
-            .get("promoted_month")?
-            .non_null()
-            .and_then(Json::as_str)
-            .map(str::to_string),
-    })
-}
+json_record!(ScheduleMonthRow {
+    month,
+    onboarded,
+    telemetry,
+    feeds,
+    rolls,
+    repriced,
+    reprice_failures,
+    checked,
+    drifted,
+    reassessed,
+    retired_customers,
+    retired_engines,
+    watched,
+    ab_cohort,
+    ab_agreement,
+    ab_savings,
+    rollout,
+});
+json_record!(ScheduleSummary {
+    start,
+    months,
+    customers_onboarded,
+    telemetry_windows,
+    feeds_applied,
+    rolls_dispatched,
+    customers_repriced,
+    reprice_failures,
+    drift_checks,
+    drift_detected,
+    reassessments,
+    customers_retired,
+    engines_retired,
+    ab_months,
+    promotions,
+    demotions,
+    promoted_month,
+});
 
 #[cfg(test)]
 mod tests {
@@ -719,6 +638,7 @@ mod tests {
         InMemoryCatalogProvider,
     };
     use doppler_core::{DopplerEngine, EngineConfig, EngineRegistry};
+    use doppler_dma::json::{Json, JsonCodec};
     use doppler_telemetry::{PerfDimension, TimeSeries};
 
     use crate::assessor::{EngineRoute, FleetAssessor, FleetConfig};
@@ -942,8 +862,8 @@ mod tests {
         assert_eq!(summary.months[2].ab_agreement, Some(1.0));
 
         // The promotion survives the JSON round trip and the rendering.
-        let json = schedule_summary_to_json(&summary);
-        let back = schedule_summary_from_json(&Json::parse(&json.render_pretty()).unwrap());
+        let json = summary.to_json();
+        let back = ScheduleSummary::from_json(&Json::parse(&json.render_pretty()).unwrap());
         assert_eq!(back.as_ref(), Some(&summary), "lossless round-trip");
         let report = sim.shutdown();
         let rendered = report.render();
@@ -1000,10 +920,10 @@ mod tests {
         assert!(rendered.contains("Simulation schedule"), "{rendered}");
         assert!(rendered.contains("Jan-22"), "{rendered}");
 
-        let json = schedule_summary_to_json(&summary);
+        let json = summary.to_json();
         let text = json.render_pretty();
         let parsed = Json::parse(&text).expect("exported JSON re-parses");
-        let back = schedule_summary_from_json(&parsed).expect("structurally sound");
+        let back = ScheduleSummary::from_json(&parsed).expect("structurally sound");
         assert_eq!(back, summary, "lossless round-trip");
     }
 }

@@ -448,7 +448,7 @@ pub struct HistogramSummary {
 /// A point-in-time export of a registry: name-sorted counters and gauges,
 /// summarized histograms, and the retained event ring. Render it as an
 /// ASCII dashboard with [`render`](ObsSnapshot::render), or export it as
-/// JSON via `doppler_dma::obs_snapshot_to_json`.
+/// JSON through `doppler_dma::json::JsonCodec` (`to_json` / `from_json`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsSnapshot {
     /// `false` for the no-op registry (everything below is then empty).

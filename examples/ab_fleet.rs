@@ -20,7 +20,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use doppler::fleet::{ab_summary_to_json, cloud_fleet};
+use doppler::dma::json::JsonCodec;
+use doppler::fleet::cloud_fleet;
 use doppler::prelude::*;
 
 fn main() {
@@ -95,5 +96,5 @@ fn main() {
 
     // 5. The same summary, machine-readable for downstream dashboards.
     let ab = outcome.report.ab.as_ref().expect("A/B summary attached");
-    println!("\n--- dma::json export ---\n{}", ab_summary_to_json(ab).render_pretty());
+    println!("\n--- dma::json export ---\n{}", ab.to_json().render_pretty());
 }

@@ -22,7 +22,8 @@
 //! Flags via env (keeps the example dependency-free):
 //! `FLEET_SIZE` (default 600), `FLEET_WORKERS` (default: all cores).
 
-use doppler::fleet::{backtest_report_from_json, backtest_report_to_json, BacktestCase};
+use doppler::dma::json::{Json, JsonCodec};
+use doppler::fleet::BacktestCase;
 use doppler::prelude::*;
 
 fn main() {
@@ -74,9 +75,8 @@ fn main() {
     println!("{}", report.render());
 
     // The export is lossless — what a dashboard stores is what it reads.
-    let json = backtest_report_to_json(&report);
-    let parsed = doppler::dma::json::Json::parse(&json.render_pretty()).expect("valid JSON");
-    let back = backtest_report_from_json(&parsed).expect("structurally sound");
+    let parsed = Json::parse(&report.to_json().render_pretty()).expect("valid JSON");
+    let back = BacktestReport::from_json(&parsed).expect("structurally sound");
     assert_eq!(back, report, "dma::json round trip is lossless");
     println!("dma::json round trip: lossless ({} case rows)\n", report.cases.len());
 

@@ -15,8 +15,7 @@
 
 use std::sync::Arc;
 
-use doppler::dma::json::Json;
-use doppler::dma::{obs_snapshot_from_json, obs_snapshot_to_json};
+use doppler::dma::json::{Json, JsonCodec};
 use doppler::prelude::*;
 use doppler::workload::{DriftDirection, DriftSpec};
 
@@ -138,9 +137,9 @@ fn main() {
     //    then prove the artifact round-trips (parse the rendered text and
     //    re-load it into an identical snapshot) — the validation CI runs
     //    against the uploaded artifact.
-    let json_text = obs_snapshot_to_json(&snapshot).render_pretty();
+    let json_text = snapshot.to_json().render_pretty();
     let reparsed = Json::parse(&json_text).expect("exported JSON parses");
-    let reloaded = obs_snapshot_from_json(&reparsed).expect("schema round-trips");
+    let reloaded = ObsSnapshot::from_json(&reparsed).expect("schema round-trips");
     assert_eq!(reloaded, snapshot, "JSON export must round-trip losslessly");
     println!("snapshot JSON: {} bytes, round-trip OK", json_text.len());
     if let Ok(path) = std::env::var("OBS_JSON") {

@@ -17,8 +17,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use doppler::dma::json::Json;
-use doppler::fleet::schedule_summary_to_json;
+use doppler::dma::json::{Json, JsonCodec};
 use doppler::prelude::*;
 
 const REGIONS: [(&str, f64); 3] = [("global", 1.0), ("westeurope", 1.08), ("eastasia", 1.12)];
@@ -129,10 +128,9 @@ fn main() {
         "every published roll was dispatched exactly once"
     );
     assert_eq!(summary.reprice_failures, 0, "no re-price was silently dropped");
-    let json = schedule_summary_to_json(&summary);
-    let parsed = Json::parse(&json.render_pretty()).expect("exported JSON re-parses");
+    let parsed = Json::parse(&summary.to_json().render_pretty()).expect("exported JSON re-parses");
     assert_eq!(
-        doppler::fleet::schedule_summary_from_json(&parsed).as_ref(),
+        ScheduleSummary::from_json(&parsed).as_ref(),
         Some(&summary),
         "schedule trace round-trips losslessly"
     );

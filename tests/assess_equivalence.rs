@@ -10,12 +10,15 @@
 //! seeded 14-day SQL DB + SQL MI cohort, with extra customers whose series
 //! carry ties, mixed ±0.0 and all-zero dimensions, the pipeline must return
 //! the same `Recommendation` (down to float bit patterns) and a
-//! byte-identical `ResourceUseReport::to_json()`.
+//! byte-identical rendered `ResourceUseReport` JSON
+//! (`to_json().render_pretty()`: comparing rendered text, not `Json`
+//! values, keeps `-0.0` distinct from `0.0`).
 
 use doppler::catalog::{
     azure_paas_catalog, BillingRates, Catalog, CatalogSpec, DeploymentType, FileLayout,
     ServiceTier, SkuId,
 };
+use doppler::dma::json::JsonCodec;
 use doppler::dma::report::DimensionReport;
 use doppler::dma::{AssessmentRequest, ResourceUseReport, SkuRecommendationPipeline};
 use doppler::engine::engine::{profiled_dimensions, MiSummary};
@@ -391,8 +394,8 @@ fn assert_pipeline_matches_reference(deployment: DeploymentType, cohort: usize, 
             "{name}: recommendation differs in a float's bits"
         );
         assert_eq!(
-            ResourceUseReport::build(history, &result.recommendation).to_json(),
-            reference_report(history, &expected).to_json(),
+            ResourceUseReport::build(history, &result.recommendation).to_json().render_pretty(),
+            reference_report(history, &expected).to_json().render_pretty(),
             "{name}: report JSON differs"
         );
         informative += usize::from(expected.curve.is_informative());
@@ -424,7 +427,10 @@ fn signed_zero_series_keep_their_first_sample_on_the_grid() {
     );
     let rec = engine.recommend(&history, None);
     let report = ResourceUseReport::build(&history, &rec);
-    assert_eq!(report.to_json(), reference_report(&history, &rec).to_json());
+    assert_eq!(
+        report.to_json().render_pretty(),
+        reference_report(&history, &rec).to_json().render_pretty()
+    );
     let grid_sign = |dim| {
         let d = report.dimension_summaries.iter().find(|d| d.dimension == dim).unwrap();
         d.ecdf[0].0.is_sign_negative()

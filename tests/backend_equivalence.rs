@@ -5,8 +5,8 @@
 //! CI runs this in the dedicated determinism job with `--test-threads=1`;
 //! the 1/4/8-worker sweep lives inside each test.
 
+use doppler::dma::json::{Json, JsonCodec};
 use doppler::dma::preprocess::PreprocessedInstance;
-use doppler::fleet::ab_summary_from_json;
 use doppler::prelude::*;
 use proptest::prelude::*;
 
@@ -136,9 +136,8 @@ fn thousand_instance_ab_fleet_is_deterministic_and_trains_once_per_backend() {
         assert!(rendered.contains("SKU agreement"));
 
         // The JSON export round-trips losslessly at every worker count.
-        let json = doppler::fleet::ab_summary_to_json(ab);
-        let parsed = doppler::dma::json::Json::parse(&json.render_pretty()).unwrap();
-        assert_eq!(ab_summary_from_json(&parsed).as_ref(), Some(ab));
+        let parsed = Json::parse(&ab.to_json().render_pretty()).unwrap();
+        assert_eq!(AbSummary::from_json(&parsed).as_ref(), Some(ab));
 
         reports.push(outcome.report);
     }

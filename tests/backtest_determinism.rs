@@ -4,7 +4,8 @@
 //! CI runs this in the dedicated determinism job with `--test-threads=1`;
 //! the 1/4/8-worker sweep lives inside each test.
 
-use doppler::fleet::{backtest_report_from_json, backtest_report_to_json, BacktestCase};
+use doppler::dma::json::{Json, JsonCodec};
+use doppler::fleet::BacktestCase;
 use doppler::prelude::*;
 
 const WORKER_SWEEP: [usize; 3] = [1, 4, 8];
@@ -79,14 +80,12 @@ fn backtest_reports_are_bit_for_bit_identical_across_worker_counts() {
 #[test]
 fn backtest_json_export_is_identical_and_lossless_across_worker_counts() {
     let cohort = cases(16);
-    let exports: Vec<String> = WORKER_SWEEP
-        .iter()
-        .map(|&w| backtest_report_to_json(&harness(w).run(&cohort)).render_pretty())
-        .collect();
+    let exports: Vec<String> =
+        WORKER_SWEEP.iter().map(|&w| harness(w).run(&cohort).to_json().render_pretty()).collect();
     assert_eq!(exports[0], exports[1]);
     assert_eq!(exports[1], exports[2]);
-    let parsed = doppler::dma::json::Json::parse(&exports[0]).expect("valid JSON");
-    let report = backtest_report_from_json(&parsed).expect("structurally sound");
+    let parsed = Json::parse(&exports[0]).expect("valid JSON");
+    let report = BacktestReport::from_json(&parsed).expect("structurally sound");
     assert_eq!(report, harness(1).run(&cohort), "round trip equals a fresh run");
 }
 

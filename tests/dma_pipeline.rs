@@ -1,6 +1,7 @@
 //! DMA pipeline integration: raw counters through preprocessing, the
 //! recommendation pipeline, reports, and month-tagged fleet assessment.
 
+use doppler::dma::json::{Json, JsonCodec};
 use doppler::dma::preprocess::preprocess;
 use doppler::dma::{
     render_text_report, AssessmentRequest, DatabaseTelemetry, RawCounterSet, ResourceUseReport,
@@ -123,9 +124,9 @@ fn reports_render_and_serialize() {
     let text = render_text_report(&report);
     assert!(text.contains("Recommended SKU"));
     assert!(text.contains("Confidence"));
-    let json = report.to_json();
+    let json = report.to_json().render_pretty();
     assert!(json.contains("curve_rows"));
-    let parsed = doppler::dma::json::Json::parse(&json).unwrap();
+    let parsed = Json::parse(&json).unwrap();
     assert!(parsed.get("recommended_sku").and_then(|v| v.as_str()).is_some());
 }
 

@@ -9,14 +9,14 @@
 //! A golden changes only when a change means to change the wire format;
 //! regenerate it by writing the fixture's `render_pretty()` to the file.
 
-use doppler::dma::json::Json;
+use std::fmt::Debug;
+
+use doppler::dma::json::{Json, JsonCodec};
 use doppler::dma::report::DimensionReport;
-use doppler::dma::{obs_snapshot_from_json, obs_snapshot_to_json, ResourceUseReport};
+use doppler::dma::ResourceUseReport;
 use doppler::fleet::{
-    ab_summary_from_json, ab_summary_to_json, backtest_report_from_json, backtest_report_to_json,
-    schedule_summary_from_json, schedule_summary_to_json, AbAdoption, AbSideSummary, AbSummary,
-    BacktestCaseRow, BacktestReport, ReplayScore, RolloutEvent, ScheduleMonthRow,
-    ScheduleSummary,
+    AbAdoption, AbSideSummary, AbSummary, BacktestCaseRow, BacktestReport, ReplayScore,
+    RolloutEvent, ScheduleMonthRow, ScheduleSummary,
 };
 use doppler::obs::{HistogramSummary, ObsEvent, ObsSnapshot};
 use doppler::stats::Summary;
@@ -209,45 +209,35 @@ fn schedule_summary() -> ScheduleSummary {
     }
 }
 
+/// `value` renders byte for byte as `golden`, and `golden` decodes back
+/// to `value`.
+fn assert_golden<T: JsonCodec + PartialEq + Debug>(value: T, golden: &str) {
+    assert_eq!(value.to_json().render_pretty(), golden);
+    assert_eq!(T::from_json(&Json::parse(golden).expect("golden parses")), Some(value));
+}
+
 #[test]
 fn resource_use_report_matches_its_golden() {
-    let report = resource_use_report();
-    let golden = include_str!("golden/json/resource_use_report.json");
-    assert_eq!(report.to_json(), golden);
-    assert_eq!(ResourceUseReport::from_json(golden).unwrap(), report);
+    assert_golden(resource_use_report(), include_str!("golden/json/resource_use_report.json"));
 }
 
 #[test]
 fn obs_snapshot_matches_its_golden() {
-    for (snapshot, golden) in [
-        (obs_snapshot(), include_str!("golden/json/obs_snapshot.json")),
-        (disabled_obs_snapshot(), include_str!("golden/json/obs_snapshot_disabled.json")),
-    ] {
-        assert_eq!(obs_snapshot_to_json(&snapshot).render_pretty(), golden);
-        assert_eq!(obs_snapshot_from_json(&Json::parse(golden).unwrap()), Some(snapshot));
-    }
+    assert_golden(obs_snapshot(), include_str!("golden/json/obs_snapshot.json"));
+    assert_golden(disabled_obs_snapshot(), include_str!("golden/json/obs_snapshot_disabled.json"));
 }
 
 #[test]
 fn ab_summary_matches_its_golden() {
-    let summary = ab_summary();
-    let golden = include_str!("golden/json/ab_summary.json");
-    assert_eq!(ab_summary_to_json(&summary).render_pretty(), golden);
-    assert_eq!(ab_summary_from_json(&Json::parse(golden).unwrap()), Some(summary));
+    assert_golden(ab_summary(), include_str!("golden/json/ab_summary.json"));
 }
 
 #[test]
 fn backtest_report_matches_its_golden() {
-    let report = backtest_report();
-    let golden = include_str!("golden/json/backtest_report.json");
-    assert_eq!(backtest_report_to_json(&report).render_pretty(), golden);
-    assert_eq!(backtest_report_from_json(&Json::parse(golden).unwrap()), Some(report));
+    assert_golden(backtest_report(), include_str!("golden/json/backtest_report.json"));
 }
 
 #[test]
 fn schedule_summary_matches_its_golden() {
-    let summary = schedule_summary();
-    let golden = include_str!("golden/json/schedule_summary.json");
-    assert_eq!(schedule_summary_to_json(&summary).render_pretty(), golden);
-    assert_eq!(schedule_summary_from_json(&Json::parse(golden).unwrap()), Some(summary));
+    assert_golden(schedule_summary(), include_str!("golden/json/schedule_summary.json"));
 }

@@ -9,9 +9,8 @@
 //! CI runs this in the determinism job with `--test-threads=1`; the
 //! 1/4/8-worker sweep lives inside each test.
 
-use doppler::dma::json::Json;
+use doppler::dma::json::{Json, JsonCodec};
 use doppler::dma::preprocess::PreprocessedInstance;
-use doppler::dma::{obs_snapshot_from_json, obs_snapshot_to_json};
 use doppler::prelude::*;
 
 const WORKER_SWEEP: [usize; 3] = [1, 4, 8];
@@ -162,8 +161,8 @@ fn exported_snapshot_round_trips_through_dma_json() {
     assert!(snapshot.enabled);
     assert!(!snapshot.histograms.is_empty());
 
-    let text = obs_snapshot_to_json(&snapshot).render_pretty();
+    let text = snapshot.to_json().render_pretty();
     let reparsed = Json::parse(&text).expect("exported JSON parses");
-    let reloaded = obs_snapshot_from_json(&reparsed).expect("schema round-trips");
+    let reloaded = ObsSnapshot::from_json(&reparsed).expect("schema round-trips");
     assert_eq!(reloaded, snapshot);
 }
