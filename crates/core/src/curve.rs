@@ -11,7 +11,7 @@
 use doppler_catalog::{ResourceCaps, Sku};
 use doppler_telemetry::PerfHistory;
 
-use crate::throttling::throttling_probabilities;
+use crate::throttling::{ThrottleBreakdown, ThrottleCounts};
 
 /// One SKU's position on a price-performance curve.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -36,6 +36,22 @@ pub enum CurveShape {
     Complex,
 }
 
+/// The Eq. 1 kernel's counts behind a curve: the engine reads the chosen
+/// SKU's [`ThrottleBreakdown`] from them instead of rescanning the history.
+#[derive(Default)]
+pub(crate) struct CurveCounts {
+    counts: ThrottleCounts,
+    /// `sku_index[k]`: the kernel's index of the SKU at curve point `k`.
+    sku_index: Vec<usize>,
+}
+
+impl CurveCounts {
+    /// The breakdown of the SKU at curve point `point`.
+    pub(crate) fn breakdown(&self, point: usize) -> ThrottleBreakdown {
+        self.counts.breakdown(self.sku_index[point])
+    }
+}
+
 /// A price-performance curve: points sorted by ascending monthly cost with
 /// the monotone envelope applied.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -47,27 +63,58 @@ impl PricePerformanceCurve {
     /// Build the curve for a workload over candidate SKUs, using each SKU's
     /// own capacities and compute price.
     pub fn generate(history: &PerfHistory, skus: &[&Sku]) -> PricePerformanceCurve {
+        PricePerformanceCurve::generate_counted(history, skus).0
+    }
+
+    /// [`PricePerformanceCurve::generate`] plus the kernel's counts.
+    pub(crate) fn generate_counted(
+        history: &PerfHistory,
+        skus: &[&Sku],
+    ) -> (PricePerformanceCurve, CurveCounts) {
         let caps: Vec<ResourceCaps> = skus.iter().map(|sku| sku.caps).collect();
-        let scored = skus
-            .iter()
-            .zip(throttling_probabilities(history, &caps))
-            .map(|(sku, p)| (sku.id.to_string(), sku.monthly_cost(), 1.0 - p))
+        let priced = skus.iter().map(|sku| (sku.id.to_string(), sku.monthly_cost()));
+        PricePerformanceCurve::score(history, priced, &caps)
+    }
+
+    /// Score SKU `i` — `(sku_id, monthly_cost)` from `priced`, capacities
+    /// `caps[i]` — with one kernel pass, and build the curve.
+    pub(crate) fn score(
+        history: &PerfHistory,
+        priced: impl IntoIterator<Item = (String, f64)>,
+        caps: &[ResourceCaps],
+    ) -> (PricePerformanceCurve, CurveCounts) {
+        let counts = ThrottleCounts::scan(history, caps);
+        let rows = priced
+            .into_iter()
+            .zip(counts.probabilities())
+            .enumerate()
+            .map(|(i, ((sku_id, monthly_cost), p))| (sku_id, monthly_cost, 1.0 - p, i))
             .collect();
-        PricePerformanceCurve::from_scored(scored)
+        let (curve, sku_index) = PricePerformanceCurve::ranked(rows);
+        (curve, CurveCounts { counts, sku_index })
     }
 
     /// Build a curve from pre-computed `(sku_id, monthly_cost, raw_score)`
     /// triples — the entry point for the MI flow, where both capacity and
     /// cost are adjusted by the storage layout.
-    pub fn from_scored(mut scored: Vec<(String, f64, f64)>) -> PricePerformanceCurve {
-        scored.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        let mut points = Vec::with_capacity(scored.len());
+    pub fn from_scored(scored: Vec<(String, f64, f64)>) -> PricePerformanceCurve {
+        let rows = scored.into_iter().map(|(sku_id, cost, raw)| (sku_id, cost, raw, ())).collect();
+        PricePerformanceCurve::ranked(rows).0
+    }
+
+    /// Sort `(sku_id, monthly_cost, raw_score, tag)` rows by cost (SKU id
+    /// on ties), apply the envelope, and return the tags in curve order.
+    fn ranked<T>(mut rows: Vec<(String, f64, f64, T)>) -> (PricePerformanceCurve, Vec<T>) {
+        rows.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        let mut points = Vec::with_capacity(rows.len());
+        let mut tags = Vec::with_capacity(rows.len());
         let mut envelope: f64 = 0.0;
-        for (sku_id, monthly_cost, raw_score) in scored {
+        for (sku_id, monthly_cost, raw_score, tag) in rows {
             envelope = envelope.max(raw_score);
             points.push(PricePerfPoint { sku_id, monthly_cost, raw_score, score: envelope });
+            tags.push(tag);
         }
-        PricePerformanceCurve { points }
+        (PricePerformanceCurve { points }, tags)
     }
 
     /// The curve's points, cheapest first.

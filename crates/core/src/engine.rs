@@ -5,13 +5,12 @@ use doppler_catalog::{BillingRates, Catalog, DeploymentType, FileLayout, SkuId, 
 use doppler_telemetry::{PerfDimension, PerfHistory};
 
 use crate::confidence::{confidence_score, ConfidenceConfig};
-use crate::curve::{CurveShape, PricePerformanceCurve};
+use crate::curve::{CurveCounts, CurveShape, PricePerformanceCurve};
 use crate::explain::{explain, Explanation};
 use crate::grouping::{FittedGrouping, GroupingStrategy};
 use crate::matching::GroupModel;
-use crate::mi::{mi_curve, MiAssessment};
+use crate::mi::{mi_counted, MiAssessment};
 use crate::profile::NegotiabilityStrategy;
-use crate::throttling::ThrottleBreakdown;
 
 /// Engine configuration: which deployment is being assessed and how the
 /// Customer Profiler summarizes and groups.
@@ -176,17 +175,31 @@ impl DopplerEngine {
         history: &PerfHistory,
         layout: Option<&FileLayout>,
     ) -> (PricePerformanceCurve, Option<MiAssessment>) {
+        let (curve, _, mi) = self.scored_curve(history, layout);
+        (curve, mi)
+    }
+
+    /// [`DopplerEngine::curve_for`] plus the kernel's counts behind the
+    /// curve.
+    fn scored_curve(
+        &self,
+        history: &PerfHistory,
+        layout: Option<&FileLayout>,
+    ) -> (PricePerformanceCurve, CurveCounts, Option<MiAssessment>) {
         match (self.config.deployment, layout) {
             (DeploymentType::SqlMi, Some(layout)) => {
-                match mi_curve(history, layout, &self.catalog, &self.config.rates) {
-                    Some(a) => (a.curve.clone(), Some(a)),
+                match mi_counted(history, layout, &self.catalog, &self.config.rates) {
+                    Some((a, counts)) => (a.curve.clone(), counts, Some(a)),
                     // No MI placement exists (file too large): empty curve.
-                    None => (PricePerformanceCurve::from_scored(vec![]), None),
+                    None => {
+                        (PricePerformanceCurve::from_scored(vec![]), CurveCounts::default(), None)
+                    }
                 }
             }
             _ => {
                 let skus = self.catalog.for_deployment(self.config.deployment);
-                (PricePerformanceCurve::generate(history, &skus), None)
+                let (curve, counts) = PricePerformanceCurve::generate_counted(history, &skus);
+                (curve, counts, None)
             }
         }
     }
@@ -198,26 +211,16 @@ impl DopplerEngine {
         let group = self.grouping.assign(&weights, &bits);
         let preferred_p = self.model.preferred_p(group);
 
-        let (curve, mi) = self.curve_for(history, layout);
+        let (curve, counts, mi) = self.scored_curve(history, layout);
         let shape = curve.classify();
-        let point = self.model.select(group, &curve).cloned();
-
-        // Breakdown at the chosen SKU, with the MI storage-derived IOPS
-        // limit substituted where applicable.
-        let breakdown = point.as_ref().and_then(|p| {
-            let sku = self.catalog.get(&SkuId(p.sku_id.clone()))?;
-            let mut caps = sku.caps;
-            if let Some(a) = &mi {
-                if sku.tier == doppler_catalog::ServiceTier::GeneralPurpose {
-                    caps.iops = a.gp_iops_limit;
-                    caps.throughput_mbps = a.storage.total_throughput_mibps();
-                }
-            }
-            Some(ThrottleBreakdown::compute(history, &caps))
-        });
+        let chosen = self.model.select_position(group, &curve);
+        let point = chosen.map(|k| &curve.points()[k]);
+        // The kernel scored every candidate (MI GP SKUs with the layout's
+        // IOPS limit), so the chosen one's breakdown is in its counts.
+        let breakdown = chosen.map(|k| counts.breakdown(k));
 
         let explanation = explain(
-            point.as_ref().map(|p| p.sku_id.as_str()),
+            point.map(|p| p.sku_id.as_str()),
             &curve,
             shape,
             dims,
@@ -227,9 +230,9 @@ impl DopplerEngine {
             breakdown.as_ref(),
         );
         Recommendation {
-            sku_id: point.as_ref().map(|p| p.sku_id.clone()),
-            monthly_cost: point.as_ref().map(|p| p.monthly_cost),
-            score: point.as_ref().map(|p| p.score),
+            sku_id: point.map(|p| p.sku_id.clone()),
+            monthly_cost: point.map(|p| p.monthly_cost),
+            score: point.map(|p| p.score),
             curve,
             shape,
             group,

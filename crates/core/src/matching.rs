@@ -171,8 +171,16 @@ impl GroupModel {
         group: usize,
         curve: &'c PricePerformanceCurve,
     ) -> Option<&'c PricePerfPoint> {
-        let p_g = self.preferred_p(group);
-        select_with_slack(curve, p_g, self.slack(group))
+        self.select_position(group, curve).map(|k| &curve.points()[k])
+    }
+
+    /// [`GroupModel::select`] as the chosen point's position on the curve.
+    pub(crate) fn select_position(
+        &self,
+        group: usize,
+        curve: &PricePerformanceCurve,
+    ) -> Option<usize> {
+        position_with_slack(curve, self.preferred_p(group), self.slack(group))
     }
 }
 
@@ -190,29 +198,34 @@ pub fn select_with_slack(
     p_g: f64,
     slack: f64,
 ) -> Option<&PricePerfPoint> {
+    position_with_slack(curve, p_g, slack).map(|k| &curve.points()[k])
+}
+
+/// [`select_with_slack`] as a position on the curve.
+fn position_with_slack(curve: &PricePerformanceCurve, p_g: f64, slack: f64) -> Option<usize> {
     const EPS: f64 = 1e-9;
-    let mut best: Option<(&PricePerfPoint, f64)> = None;
-    for point in curve.points() {
+    let points = curve.points();
+    let mut best: Option<(usize, f64)> = None;
+    for (k, point) in points.iter().enumerate() {
         let p = 1.0 - point.score;
         if p <= p_g + slack + EPS {
             let diff = (p - p_g).abs();
             // Strict improvement only: cost order makes earlier = cheaper
             // win ties.
             if best.is_none_or(|(_, d)| diff < d - EPS) {
-                best = Some((point, diff));
+                best = Some((k, diff));
             }
         }
     }
-    if let Some((point, _)) = best {
-        return Some(point);
+    if let Some((k, _)) = best {
+        return Some(k);
     }
     // Constraint infeasible: fall back to the most performant point. The
     // comparator treats equal scores as `Greater` so `max_by` keeps the
     // first (cheapest) maximal point instead of its default last-wins.
-    curve
-        .points()
-        .iter()
-        .max_by(|a, b| a.score.total_cmp(&b.score).then(std::cmp::Ordering::Greater))
+    (0..points.len()).max_by(|&a, &b| {
+        points[a].score.total_cmp(&points[b].score).then(std::cmp::Ordering::Greater)
+    })
 }
 
 #[cfg(test)]

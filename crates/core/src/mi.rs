@@ -21,8 +21,7 @@ use doppler_catalog::{
 use doppler_stats::descriptive::max;
 use doppler_telemetry::{PerfDimension, PerfHistory};
 
-use crate::curve::PricePerformanceCurve;
-use crate::throttling::throttling_probabilities;
+use crate::curve::{CurveCounts, PricePerformanceCurve};
 
 /// The §3.2 Step-1 satisfaction fraction ("chosen based on file layout
 /// analysis of current on-cloud Azure SQL MI resources").
@@ -50,6 +49,17 @@ pub fn mi_curve(
     catalog: &Catalog,
     rates: &BillingRates,
 ) -> Option<MiAssessment> {
+    mi_counted(history, layout, catalog, rates).map(|(assessment, _)| assessment)
+}
+
+/// [`mi_curve`] plus the kernel's counts behind its curve: GP SKUs are
+/// counted with the layout's IOPS limit and throughput caps substituted.
+pub(crate) fn mi_counted(
+    history: &PerfHistory,
+    layout: &FileLayout,
+    catalog: &Catalog,
+    rates: &BillingRates,
+) -> Option<(MiAssessment, CurveCounts)> {
     // Step 1: storage tiers from size (100 %) and IO demand (95 %).
     let iops_demand = history.values(PerfDimension::Iops).and_then(max).unwrap_or(0.0);
     let throughput_demand = iops_demand / 128.0; // 8 KB pages
@@ -85,17 +95,8 @@ pub fn mi_curve(
         priced.push((sku.id.to_string(), monthly));
         caps.push(sku_caps);
     }
-    let scored = priced
-        .into_iter()
-        .zip(throttling_probabilities(history, &caps))
-        .map(|((sku_id, monthly), p)| (sku_id, monthly, 1.0 - p))
-        .collect();
-    Some(MiAssessment {
-        storage,
-        restricted_to_bc,
-        curve: PricePerformanceCurve::from_scored(scored),
-        gp_iops_limit,
-    })
+    let (curve, counts) = PricePerformanceCurve::score(history, priced, &caps);
+    Some((MiAssessment { storage, restricted_to_bc, curve, gp_iops_limit }, counts))
 }
 
 #[cfg(test)]

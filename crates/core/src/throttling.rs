@@ -26,40 +26,51 @@
 //! a curve over `m` SKUs would rescan the window `m` times.
 //! [`throttling_probabilities`] scores them all in one pass. Per dimension
 //! it sorts the SKUs' distinct capacities into ascending *levels* (negated
-//! on the inverted latency dimension, so a tighter latency ranks higher),
-//! so that a sample exceeds exactly the levels before its
-//! `partition_point`, and keeps a cumulative `u64` mask of the SKUs at
-//! those levels. A sample's throttled set is the OR of one mask per
-//! dimension. Sorting the per-sample masks turns equal sets into runs, and
-//! one pass over the runs adds each run's length to every SKU in its set.
+//! on the inverted latency dimension, so a tighter latency ranks higher)
+//! and keeps, for each *level index* `k`, a `u64` mask of the SKUs whose
+//! capacity is among `levels[..k]`. A sample's level index is the number
+//! of levels its demand exceeds, found by an ascending scan that stops at
+//! the first level the demand does not exceed. Most samples sit at or
+//! below the smallest capacity, so the scan usually stops at the first
+//! comparison (and such a sample throttles no SKU, so it is done), where a
+//! binary search always pays `log2(levels)` of them.
+//!
+//! A sample's throttled set is the OR of one mask per dimension. Sorting
+//! the per-sample masks turns equal sets into runs, and one pass over the
+//! runs adds each run's length to every SKU in its set: the joint count.
+//! The same pass keeps a histogram of level indices per dimension, so one
+//! SKU's per-dimension exceedance count is the sum of the histogram over
+//! the level indices whose mask holds that SKU. The engine reads the chosen
+//! SKU's [`ThrottleBreakdown`] from it without a second scan.
 //!
 //! The estimate is exact, not approximate:
 //!
-//! * the partition predicate is the reference's strict comparison:
+//! * the scan's predicate is the reference's strict comparison:
 //!   `demand > cap`, or on latency `-demand > -cap`, which is `demand <
-//!   cap` because negation is exact. Demand exactly at a capacity never
-//!   throttles, and NaN demand (every comparison false) exceeds no level;
+//!   cap` because negation is exact. The levels ascend, so the predicate
+//!   holds on a prefix of them and the scan stops exactly at its end.
+//!   Demand exactly at a capacity never throttles, and NaN demand (every
+//!   comparison false) stops at level index 0, where no SKU throttles;
 //! * a NaN capacity is never exceeded, so it gets no level; capacities that
 //!   compare equal (including ±0.0) share one;
 //! * counts are integers, so `count as f64 / n as f64` is the reference's
-//!   own expression on the reference's own operands — bit-identical.
+//!   own expression on the reference's own operands — bit-identical, for
+//!   the joint probability and for every per-dimension fraction.
 //!
 //! More than 64 SKUs run the same pass once per 64-SKU chunk.
 
 use doppler_catalog::ResourceCaps;
 use doppler_telemetry::{PerfDimension, PerfHistory};
 
-/// The capacity a SKU exposes for one dimension, or `None` when the
-/// dimension is unconstrained by that SKU (e.g. log rate is not assessed
-/// for MI).
-fn capacity(caps: &ResourceCaps, dim: PerfDimension) -> Option<f64> {
+/// The capacity a SKU exposes for one dimension.
+fn capacity(caps: &ResourceCaps, dim: PerfDimension) -> f64 {
     match dim {
-        PerfDimension::Cpu => Some(caps.vcores),
-        PerfDimension::Memory => Some(caps.memory_gb),
-        PerfDimension::Iops => Some(caps.iops),
-        PerfDimension::IoLatency => Some(caps.min_io_latency_ms),
-        PerfDimension::LogRate => Some(caps.log_rate_mbps),
-        PerfDimension::Storage => Some(caps.max_data_gb),
+        PerfDimension::Cpu => caps.vcores,
+        PerfDimension::Memory => caps.memory_gb,
+        PerfDimension::Iops => caps.iops,
+        PerfDimension::IoLatency => caps.min_io_latency_ms,
+        PerfDimension::LogRate => caps.log_rate_mbps,
+        PerfDimension::Storage => caps.max_data_gb,
     }
 }
 
@@ -84,10 +95,8 @@ pub fn throttling_probability(history: &PerfHistory, caps: &ResourceCaps) -> f64
         return 0.0;
     }
     // Collect (dim, values, cap) triples once to keep the hot loop tight.
-    let dims: Vec<(PerfDimension, &[f64], f64)> = history
-        .iter()
-        .filter_map(|(dim, series)| capacity(caps, dim).map(|cap| (dim, series.values(), cap)))
-        .collect();
+    let dims: Vec<(PerfDimension, &[f64], f64)> =
+        history.iter().map(|(dim, series)| (dim, series.values(), capacity(caps, dim))).collect();
     let mut throttled = 0usize;
     for t in 0..n {
         for &(dim, values, cap) in &dims {
@@ -106,30 +115,89 @@ pub fn throttling_probability(history: &PerfHistory, caps: &ResourceCaps) -> f64
 /// Element `i` equals [`throttling_probability`]`(history, &caps[i])` bit
 /// for bit; an empty history throttles with probability 0.
 pub fn throttling_probabilities(history: &PerfHistory, caps: &[ResourceCaps]) -> Vec<f64> {
-    let n = history.len();
-    if n == 0 {
-        return vec![0.0; caps.len()];
-    }
-    let mut probabilities = Vec::with_capacity(caps.len());
-    let mut sample_masks = vec![0u64; n];
-    for chunk in caps.chunks(u64::BITS as usize) {
-        sample_masks.fill(0);
-        for (dim, series) in history.iter() {
-            LevelMasks::build(dim, chunk).throttle(&mut sample_masks, series.values());
-        }
-        sample_masks.sort_unstable();
-        let mut counts = vec![0usize; chunk.len()];
-        for run in sample_masks.chunk_by(|a, b| a == b) {
-            let mut skus = run[0];
-            while skus != 0 {
-                counts[skus.trailing_zeros() as usize] += run.len();
-                skus &= skus - 1;
+    ThrottleCounts::scan(history, caps).probabilities().collect()
+}
+
+/// [`ThrottleBreakdown`] for every SKU in `caps`, from the same pass as
+/// [`throttling_probabilities`].
+///
+/// Element `i` equals [`ThrottleBreakdown::compute`]`(history, &caps[i])`
+/// bit for bit.
+pub fn throttle_breakdowns(history: &PerfHistory, caps: &[ResourceCaps]) -> Vec<ThrottleBreakdown> {
+    let counts = ThrottleCounts::scan(history, caps);
+    (0..caps.len()).map(|sku| counts.breakdown(sku)).collect()
+}
+
+/// The integer result of the one-pass kernel over a history and a SKU
+/// list: each SKU's joint throttled-sample count, and per 64-SKU chunk and
+/// collected dimension the level table with its histogram.
+#[derive(Default)]
+pub(crate) struct ThrottleCounts {
+    samples: usize,
+    /// Samples at which SKU `i` throttles on at least one dimension.
+    joint: Vec<usize>,
+    /// Collected dimensions: each chunk owns this many consecutive tables.
+    dims: usize,
+    /// Chunk-major: chunk `c`'s tables are `tables[c * dims..][..dims]`,
+    /// in the history's canonical dimension order.
+    tables: Vec<LevelMasks>,
+}
+
+impl ThrottleCounts {
+    /// Run the kernel (see the module docs).
+    pub(crate) fn scan(history: &PerfHistory, caps: &[ResourceCaps]) -> ThrottleCounts {
+        let samples = history.len();
+        let dims = history.iter().count();
+        let mut joint = vec![0usize; caps.len()];
+        let mut tables = Vec::with_capacity(dims * caps.len().div_ceil(CHUNK));
+        let mut sample_masks = vec![0u64; samples];
+        for (chunk, counts) in caps.chunks(CHUNK).zip(joint.chunks_mut(CHUNK)) {
+            sample_masks.fill(0);
+            for (dim, series) in history.iter() {
+                let mut table = LevelMasks::build(dim, chunk);
+                table.throttle(&mut sample_masks, series.values());
+                tables.push(table);
+            }
+            sample_masks.sort_unstable();
+            for run in sample_masks.chunk_by(|a, b| a == b) {
+                let mut skus = run[0];
+                while skus != 0 {
+                    counts[skus.trailing_zeros() as usize] += run.len();
+                    skus &= skus - 1;
+                }
             }
         }
-        probabilities.extend(counts.into_iter().map(|count| count as f64 / n as f64));
+        ThrottleCounts { samples, joint, dims, tables }
     }
-    probabilities
+
+    /// `count / n`, the reference's expression; 0 for an empty history.
+    fn fraction(&self, count: usize) -> f64 {
+        if self.samples == 0 {
+            0.0
+        } else {
+            count as f64 / self.samples as f64
+        }
+    }
+
+    /// Each SKU's joint throttling probability, in `caps` order.
+    pub(crate) fn probabilities(&self) -> impl Iterator<Item = f64> + '_ {
+        self.joint.iter().map(|&count| self.fraction(count))
+    }
+
+    /// SKU `sku`'s breakdown; equals [`ThrottleBreakdown::compute`] on its
+    /// capacities bit for bit.
+    pub(crate) fn breakdown(&self, sku: usize) -> ThrottleBreakdown {
+        let bit = sku % CHUNK;
+        let per_dimension = self.tables[sku / CHUNK * self.dims..][..self.dims]
+            .iter()
+            .map(|table| (table.dim, self.fraction(table.exceeding(bit))))
+            .collect();
+        ThrottleBreakdown { per_dimension, joint: self.fraction(self.joint[sku]) }
+    }
 }
+
+/// SKUs per kernel pass: one bit each in a `u64` mask.
+const CHUNK: usize = u64::BITS as usize;
 
 /// One dimension's exceedance table over at most 64 SKUs.
 ///
@@ -137,13 +205,24 @@ pub fn throttling_probabilities(history: &PerfHistory, caps: &[ResourceCaps]) ->
 /// on the inverted latency dimension, so its `demand < cap` reads
 /// `-demand > -cap` and every dimension compares with `>`.
 struct LevelMasks {
+    dim: PerfDimension,
     sign: f64,
     /// Distinct non-NaN oriented capacities, ascending, so a demand exceeds
     /// a prefix.
     levels: Vec<f64>,
-    /// `masks[k]`: bit `j` set when SKU `j`'s capacity is among
-    /// `levels[..k]`.
-    masks: Vec<u64>,
+    /// `bins[k]`: for a demand exceeding exactly `levels[..k]`, the SKUs it
+    /// throttles and how many samples landed there (none in bin 0, see
+    /// [`LevelMasks::throttle`]).
+    bins: Vec<Bin>,
+}
+
+/// Level index `k` of a [`LevelMasks`].
+#[derive(Clone, Copy)]
+struct Bin {
+    /// Bit `j` set when SKU `j`'s capacity is among `levels[..k]`.
+    skus: u64,
+    /// Samples whose demand exceeds exactly `levels[..k]`.
+    samples: usize,
 }
 
 impl LevelMasks {
@@ -152,30 +231,45 @@ impl LevelMasks {
         let sku_caps = || {
             chunk
                 .iter()
+                .map(move |c| sign * capacity(c, dim))
                 .enumerate()
-                .filter_map(move |(j, c)| capacity(c, dim).map(|cap| (j, sign * cap)))
                 .filter(|&(_, cap)| !cap.is_nan())
         };
         let mut levels: Vec<f64> = sku_caps().map(|(_, cap)| cap).collect();
         levels.sort_unstable_by(f64::total_cmp);
         levels.dedup_by(|a, b| a == b);
-        let mut masks = vec![0; levels.len() + 1];
+        let mut bins = vec![Bin { skus: 0, samples: 0 }; levels.len() + 1];
         for (j, cap) in sku_caps() {
             // The levels a capacity exceeds are those before its own.
-            masks[levels.partition_point(|&level| cap > level) + 1] |= 1 << j;
+            bins[levels.partition_point(|&level| cap > level) + 1].skus |= 1 << j;
         }
-        for k in 1..masks.len() {
-            masks[k] |= masks[k - 1];
+        for k in 1..bins.len() {
+            bins[k].skus |= bins[k - 1].skus;
         }
-        LevelMasks { sign, levels, masks }
+        LevelMasks { dim, sign, levels, bins }
     }
 
-    /// OR into each sample's mask the SKUs its demand throttles here.
-    fn throttle(&self, sample_masks: &mut [u64], demands: &[f64]) {
+    /// OR into each sample's mask the SKUs its demand throttles here, and
+    /// count the sample in its level's bin.
+    ///
+    /// A demand that does not exceed the lowest level lands in bin 0, which
+    /// throttles no SKU; it is skipped, so bin 0 counts no samples.
+    fn throttle(&mut self, sample_masks: &mut [u64], demands: &[f64]) {
+        let Some((&lowest, higher)) = self.levels.split_first() else { return };
         for (mask, &demand) in sample_masks.iter_mut().zip(demands) {
             let demand = self.sign * demand;
-            *mask |= self.masks[self.levels.partition_point(|&level| demand > level)];
+            if demand > lowest {
+                let level = 1 + higher.iter().take_while(|&&level| demand > level).count();
+                let bin = &mut self.bins[level];
+                *mask |= bin.skus;
+                bin.samples += 1;
+            }
         }
+    }
+
+    /// Samples whose demand exceeds chunk SKU `bit`'s capacity.
+    fn exceeding(&self, bit: usize) -> usize {
+        self.bins.iter().filter(|bin| bin.skus >> bit & 1 == 1).map(|bin| bin.samples).sum()
     }
 }
 
@@ -196,7 +290,7 @@ impl ThrottleBreakdown {
         let n = history.len();
         let mut per_dimension = Vec::new();
         for (dim, series) in history.iter() {
-            let Some(cap) = capacity(caps, dim) else { continue };
+            let cap = capacity(caps, dim);
             let count = series.values().iter().filter(|&&v| exceeds(dim, v, cap)).count();
             per_dimension.push((dim, if n == 0 { 0.0 } else { count as f64 / n as f64 }));
         }

@@ -1,7 +1,9 @@
 //! The one-pass Eq. 1 kernel against the per-SKU reference, bit for bit.
 //!
 //! `throttling_probabilities(h, caps)[i]` must equal
-//! `throttling_probability(h, &caps[i])` by `to_bits()`, and the curve
+//! `throttling_probability(h, &caps[i])` by `to_bits()`, every
+//! per-dimension and joint fraction of `throttle_breakdowns(h, caps)[i]`
+//! must equal `ThrottleBreakdown::compute(h, &caps[i])`'s, and the curve
 //! builders that now run the kernel (`PricePerformanceCurve::
 //! generate`, `mi_curve`) must reproduce the per-SKU loop they replaced.
 //!
@@ -19,8 +21,8 @@ use doppler_catalog::{
     ResourceCaps, ServiceTier,
 };
 use doppler_core::mi::IOPS_SATISFACTION_FRACTION;
-use doppler_core::throttling::throttling_probabilities;
-use doppler_core::{mi_curve, throttling_probability, PricePerformanceCurve};
+use doppler_core::throttling::{throttle_breakdowns, throttling_probabilities};
+use doppler_core::{mi_curve, throttling_probability, PricePerformanceCurve, ThrottleBreakdown};
 use doppler_stats::descriptive::max;
 use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
 use proptest::prelude::*;
@@ -122,14 +124,25 @@ fn caps(gen: &mut Gen) -> ResourceCaps {
     }
 }
 
-/// Every SKU's kernel probability equals the reference's, by bit pattern.
+/// Every SKU's kernel probability and breakdown equal the reference's, by
+/// bit pattern.
 fn assert_kernel_matches(h: &PerfHistory, caps: &[ResourceCaps]) {
     let kernel = throttling_probabilities(h, caps);
+    let breakdowns = throttle_breakdowns(h, caps);
     assert_eq!(kernel.len(), caps.len());
-    for (i, (&p, sku)) in kernel.iter().zip(caps).enumerate() {
+    assert_eq!(breakdowns.len(), caps.len());
+    for (i, ((&p, breakdown), sku)) in kernel.iter().zip(&breakdowns).zip(caps).enumerate() {
         let reference = throttling_probability(h, sku);
         assert_eq!(p.to_bits(), reference.to_bits(), "SKU {i}: {p} vs {reference}");
+        let reference = ThrottleBreakdown::compute(h, sku);
+        assert_eq!(bits(breakdown), bits(&reference), "SKU {i}: {breakdown:?} vs {reference:?}");
     }
+}
+
+/// A breakdown's dimensions and fractions as bit patterns.
+fn bits(breakdown: &ThrottleBreakdown) -> (Vec<(PerfDimension, u64)>, u64) {
+    let per_dimension = breakdown.per_dimension.iter().map(|&(d, f)| (d, f.to_bits())).collect();
+    (per_dimension, breakdown.joint.to_bits())
 }
 
 /// `(sku_id, cost bits, raw bits, score bits)` rows: `==` on floats would
@@ -299,4 +312,53 @@ fn chunk_boundaries_keep_each_sku_in_its_own_slot() {
     let expected: Vec<f64> = (0..130).map(|i| (n - 1 - i) as f64 / n as f64).collect();
     assert_eq!(throttling_probabilities(&h, &caps), expected);
     assert_kernel_matches(&h, &caps);
+}
+
+/// A history with every dimension set to `demand` at all `n` samples.
+fn constant_history(n: usize, demand: f64) -> PerfHistory {
+    let mut h = PerfHistory::new();
+    for dim in PerfDimension::ALL {
+        h.insert(dim, TimeSeries::ten_minute(vec![demand; n]));
+    }
+    h
+}
+
+/// 100 SKUs (two chunks) over the grid and the odd capacities.
+fn fixed_caps() -> Vec<ResourceCaps> {
+    let values: Vec<f64> = GRID.iter().chain(&ODD_CAPS).copied().collect();
+    (0..100)
+        .map(|i| {
+            let at = |k: usize| values[(i * 7 + k * 3) % values.len()];
+            ResourceCaps {
+                vcores: at(0),
+                memory_gb: at(1),
+                max_data_gb: at(2),
+                iops: at(3),
+                log_rate_mbps: at(4),
+                min_io_latency_ms: at(5),
+                throughput_mbps: at(6),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn demand_above_every_level_scans_to_the_end() {
+    // The ascending scan's worst case: every sample exceeds every finite
+    // level, on latency too (a demand tighter than every finite floor).
+    for n in [144, 2016] {
+        let h = constant_history(n, 1e300)
+            .with(PerfDimension::IoLatency, TimeSeries::ten_minute(vec![-1e300; n]));
+        assert_kernel_matches(&h, &fixed_caps());
+    }
+}
+
+#[test]
+fn all_negative_zero_demand_matches() {
+    // -0.0 equals the ±0.0 capacities (no throttle) and sits below every
+    // positive one; on latency it throttles every SKU with a positive floor.
+    let h = constant_history(2016, -0.0);
+    assert_kernel_matches(&h, &fixed_caps());
+    let breakdown = &throttle_breakdowns(&h, &fixed_caps())[0];
+    assert_eq!(breakdown.per_dimension.len(), PerfDimension::ALL.len());
 }

@@ -9,8 +9,6 @@
 //! > greater than a threshold percentage (ρ) of the total assessment period,
 //! > the performance dimension is cast as non-negotiable."
 
-use crate::descriptive::{max, stddev};
-
 /// The outcome of running the thresholding algorithm on one dimension.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SpikeProfile {
@@ -24,11 +22,29 @@ pub struct SpikeProfile {
 
 impl SpikeProfile {
     /// Run the thresholding measurement. Returns `None` for an empty series.
+    ///
+    /// The peak and the sum share one pass, each its own sequential chain:
+    /// the peak folds in [`max`]'s order and the sum starts where
+    /// `Iterator::sum` does (`-0.0`), so peak, mean and standard deviation
+    /// are bit-identical to [`max`] and [`stddev`].
+    ///
+    /// [`max`]: crate::descriptive::max
+    /// [`stddev`]: crate::descriptive::stddev
     pub fn measure(xs: &[f64]) -> Option<SpikeProfile> {
-        let peak = max(xs)?;
-        let sd = stddev(xs);
+        let &first = xs.first()?;
+        debug_assert!(xs.iter().all(|x| x.is_finite()), "spike profile over non-finite input");
+        let (mut peak, mut sum) = (first, -0.0);
+        for &x in xs {
+            if x > peak {
+                peak = x;
+            }
+            sum += x;
+        }
+        let n = xs.len() as f64;
+        let mean = sum / n;
+        let sd = (xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n).sqrt();
         let lo = peak - sd;
-        let dwell = xs.iter().filter(|&&x| x >= lo).count() as f64 / xs.len() as f64;
+        let dwell = xs.iter().filter(|&&x| x >= lo).count() as f64 / n;
         Some(SpikeProfile { peak, stddev: sd, dwell_fraction: dwell })
     }
 
@@ -107,6 +123,19 @@ mod tests {
         // dwell is 1%: negotiable under rho = 5%, non-negotiable under 0.5%.
         assert!(p.is_negotiable(0.05));
         assert!(!p.is_negotiable(0.005));
+    }
+
+    #[test]
+    fn one_pass_matches_max_and_stddev_bit_for_bit() {
+        use crate::descriptive::{max, stddev};
+        let mixed = vec![-0.0, 0.0, 3.5, -2.25, 1e-300, 7.0, 7.0, 0.1];
+        let zeros = [vec![-0.0; 5], vec![-0.0, 0.0], vec![0.0, -0.0]];
+        for xs in [spiky_series(), steady_high_series(), mixed, vec![1.0]].into_iter().chain(zeros)
+        {
+            let p = SpikeProfile::measure(&xs).unwrap();
+            assert_eq!(p.peak.to_bits(), max(&xs).unwrap().to_bits());
+            assert_eq!(p.stddev.to_bits(), stddev(&xs).to_bits());
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The reference below scores every SKU with its own
 //! `throttling_probability` scan (the DB curve, the MI layout flow, and
 //! training), profiles with separate weight and bit passes that each
-//! measure a dimension's spike dwell, and builds the
+//! measure a dimension's spike dwell in four passes, and builds the
 //! Resource Use Report with two sorts per series: a `total_cmp` sort for
 //! the summary and a stable `partial_cmp` sort for the ECDF grid. Over a
 //! seeded 14-day SQL DB + SQL MI cohort, with extra customers whose series
@@ -29,7 +29,8 @@ use doppler::engine::{
     NegotiabilityStrategy, PricePerformanceCurve, Recommendation, ThrottleBreakdown,
     TrainingRecord,
 };
-use doppler::stats::{mean, quantile_sorted, spike_dwell_fraction, stddev, Summary};
+use doppler::stats::descriptive::max;
+use doppler::stats::{mean, quantile_sorted, stddev, Summary};
 use doppler::telemetry::{PerfDimension, PerfHistory, TimeSeries};
 use doppler::workload::{CloudCustomer, PopulationSpec};
 
@@ -168,7 +169,7 @@ fn reference_weights(
 ) -> Vec<f64> {
     assert!(matches!(strategy, NegotiabilityStrategy::Thresholding { .. }));
     dims.iter()
-        .map(|&dim| history.values(dim).map(|v| 1.0 - spike_dwell_fraction(v)).unwrap_or(0.0))
+        .map(|&dim| history.values(dim).map(|v| 1.0 - reference_dwell(v)).unwrap_or(0.0))
         .collect()
 }
 
@@ -182,9 +183,16 @@ fn reference_bits(
     let NegotiabilityStrategy::Thresholding { rho } = strategy else {
         panic!("the reference covers the production strategy only")
     };
-    dims.iter()
-        .map(|&dim| history.values(dim).is_some_and(|v| spike_dwell_fraction(v) < rho))
-        .collect()
+    dims.iter().map(|&dim| history.values(dim).is_some_and(|v| reference_dwell(v) < rho)).collect()
+}
+
+/// The spike dwell fraction as four passes measured it: the peak, the
+/// mean and the variance (inside `stddev`), then the dwell count; 1 for an
+/// empty series.
+fn reference_dwell(xs: &[f64]) -> f64 {
+    let Some(peak) = max(xs) else { return 1.0 };
+    let lo = peak - stddev(xs);
+    xs.iter().filter(|&&x| x >= lo).count() as f64 / xs.len() as f64
 }
 
 /// The curve builder's cost sort as it was: `partial_cmp`, SKU id on ties.
@@ -200,8 +208,7 @@ fn reference_mi_curve(
     catalog: &Catalog,
     rates: &BillingRates,
 ) -> Option<MiAssessment> {
-    let iops_demand =
-        history.values(PerfDimension::Iops).and_then(doppler::stats::descriptive::max);
+    let iops_demand = history.values(PerfDimension::Iops).and_then(max);
     let iops_demand = iops_demand.unwrap_or(0.0);
     let (storage, satisfied) = layout.assign_tiers_for_demand(
         iops_demand,
