@@ -20,12 +20,12 @@
 //! `1,2,4`), `RSS_BUDGET_MB` (default 4096; exits non-zero past it),
 //! `STREAM_JSON_LOG` (append JSON-lines rows for the bench trajectory).
 //!
-//! Row schema (one JSON object per line, `BENCH_pr8.json` trajectory):
+//! Row schema (one JSON object per line, as in the `BENCH_pr8.json`
+//! history file):
 //! `{"label":"stream_1m_customers/shards/4","customers":1000000,
 //!   "elapsed_s":..,"throughput_per_s":..,"ns_per_iter":..,
 //!   "iters_per_sec":..,"vm_hwm_mib":..}`
-//! (`ns_per_iter`/`iters_per_sec` are per-customer, matching the criterion
-//! rows in the rest of the file.)
+//! (`ns_per_iter`/`iters_per_sec` are per customer.)
 
 use std::io::Write as _;
 use std::sync::Arc;

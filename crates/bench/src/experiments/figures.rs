@@ -173,7 +173,7 @@ pub fn figure9(scale: &ExperimentScale) -> String {
             let mut counts = [0usize; 3];
             let total = histories.len();
             for (h, layout) in histories {
-                let (curve, _) = engine.curve_for(&h, layout.as_ref());
+                let curve = engine.curve_for(&h, layout.as_ref());
                 match curve.classify() {
                     CurveShape::Flat => counts[0] += 1,
                     CurveShape::Simple => counts[1] += 1,

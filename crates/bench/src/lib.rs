@@ -1,7 +1,7 @@
 //! Shared harness code for the Doppler reproduction benchmarks.
 //!
-//! The `reproduce` binary (one subcommand per paper table/figure) and the
-//! criterion benches both build on these helpers:
+//! The `reproduce` binary (one subcommand per paper table/figure) builds
+//! on these helpers:
 //!
 //! * [`backtest`] — the §5.2 evaluation loop: train the engine on a
 //!   synthetic migrated-customer cohort, recommend for every member, and

@@ -126,10 +126,8 @@ impl DopplerEngine {
             grouping,
             model: GroupModel::learn(0, std::iter::empty()),
         };
-        let curves: Vec<PricePerformanceCurve> = records
-            .iter()
-            .map(|r| engine.curve_for(&r.history, r.file_layout.as_ref()).0)
-            .collect();
+        let curves: Vec<PricePerformanceCurve> =
+            records.iter().map(|r| engine.curve_for(&r.history, r.file_layout.as_ref())).collect();
         engine.model = GroupModel::learn(
             engine.grouping.group_count(),
             labels
@@ -168,28 +166,37 @@ impl DopplerEngine {
         profiled_dimensions(self.config.deployment)
     }
 
-    /// Build the price-performance curve for a workload (the MI assessment
-    /// when a layout is supplied). The second element carries MI context.
+    /// Build the price-performance curve for a workload (the MI assessment's
+    /// curve when a layout is supplied; [`crate::mi_curve`] returns the
+    /// whole assessment).
     pub fn curve_for(
         &self,
         history: &PerfHistory,
         layout: Option<&FileLayout>,
-    ) -> (PricePerformanceCurve, Option<MiAssessment>) {
-        let (curve, _, mi) = self.scored_curve(history, layout);
-        (curve, mi)
+    ) -> PricePerformanceCurve {
+        self.scored_curve(history, layout).0
     }
 
     /// [`DopplerEngine::curve_for`] plus the kernel's counts behind the
-    /// curve.
+    /// curve and the MI context a recommendation reports. The MI curve is
+    /// moved out of its assessment, not copied.
     fn scored_curve(
         &self,
         history: &PerfHistory,
         layout: Option<&FileLayout>,
-    ) -> (PricePerformanceCurve, CurveCounts, Option<MiAssessment>) {
+    ) -> (PricePerformanceCurve, CurveCounts, Option<MiSummary>) {
         match (self.config.deployment, layout) {
             (DeploymentType::SqlMi, Some(layout)) => {
                 match mi_counted(history, layout, &self.catalog, &self.config.rates) {
-                    Some((a, counts)) => (a.curve.clone(), counts, Some(a)),
+                    Some((a, counts)) => {
+                        let MiAssessment { storage, restricted_to_bc, curve, gp_iops_limit } = a;
+                        let summary = MiSummary {
+                            restricted_to_bc,
+                            gp_iops_limit,
+                            storage_tiers: storage.tiers,
+                        };
+                        (curve, counts, Some(summary))
+                    }
                     // No MI placement exists (file too large): empty curve.
                     None => {
                         (PricePerformanceCurve::from_scored(vec![]), CurveCounts::default(), None)
@@ -240,11 +247,7 @@ impl DopplerEngine {
             bits,
             confidence: None,
             explanation,
-            mi: mi.map(|a| MiSummary {
-                restricted_to_bc: a.restricted_to_bc,
-                gp_iops_limit: a.gp_iops_limit,
-                storage_tiers: a.storage.tiers,
-            }),
+            mi,
         }
     }
 

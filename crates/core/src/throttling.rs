@@ -9,10 +9,12 @@
 //!
 //! estimated non-parametrically: "calculating the frequency with which all
 //! performance dimensions are satisfied by each SKU, at each time point"
-//! (§3.2). The estimate is *joint* — one indicator per time sample over the
-//! union of dimension exceedances — so cross-dimension correlation is
-//! handled for free; the ablation bench shows why assuming independence
-//! would misestimate it.
+//! (§3.2). The estimate is *joint* because Eq. 1 is defined as a union
+//! over time-aligned samples: one indicator per time sample, set when any
+//! dimension exceeds its capacity at that sample. It is a count of
+//! samples, not a combination of per-dimension probabilities, so it needs
+//! no assumption about how the dimensions relate, and it always lies
+//! between the largest per-dimension fraction and their sum.
 //!
 //! IO latency is the one inverted dimension: "IO latency is taken as the
 //! inverse of the actual IO latency in order to calculate the effect of

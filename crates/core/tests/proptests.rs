@@ -2,7 +2,9 @@
 
 use doppler_catalog::{azure_paas_catalog, CatalogSpec, DeploymentType, ResourceCaps};
 use doppler_core::matching::{select_for_p, select_with_slack};
-use doppler_core::{throttling_probability, BaselineStrategy, PricePerformanceCurve};
+use doppler_core::{
+    throttling_probability, BaselineStrategy, PricePerformanceCurve, ThrottleBreakdown,
+};
 use doppler_telemetry::{PerfDimension, PerfHistory, TimeSeries};
 use proptest::prelude::*;
 
@@ -51,6 +53,32 @@ proptest! {
         let p_small = throttling_probability(&h, &small);
         let p_big = throttling_probability(&h, &big);
         prop_assert!(p_big <= p_small + 1e-12, "{p_big} > {p_small}");
+    }
+
+    #[test]
+    fn joint_throttling_lies_within_the_union_bounds(h in history_strategy()) {
+        // Eq. 1 is a union over time-aligned samples, so its count lies
+        // between the largest per-dimension count and their sum. Every
+        // fraction shares the denominator `n`, so each count is recovered
+        // exactly and checked to round-trip bit for bit.
+        let n = h.len();
+        let count = |fraction: f64| {
+            let c = (fraction * n as f64).round() as usize;
+            assert_eq!(c as f64 / n as f64, fraction, "{fraction} is not a count over {n}");
+            c
+        };
+        let cat = azure_paas_catalog(&CatalogSpec::default());
+        for sku in cat.for_deployment(DeploymentType::SqlDb) {
+            let breakdown = ThrottleBreakdown::compute(&h, &sku.caps);
+            prop_assert_eq!(breakdown.joint, throttling_probability(&h, &sku.caps));
+            let joint = count(breakdown.joint);
+            let per_dim: Vec<usize> =
+                breakdown.per_dimension.iter().map(|&(_, f)| count(f)).collect();
+            let max = per_dim.iter().copied().max().unwrap_or(0);
+            let bound = per_dim.iter().sum::<usize>().min(n);
+            prop_assert!(max <= joint, "{}: joint {joint} below max {max}", sku.id);
+            prop_assert!(joint <= bound, "{}: joint {joint} above min(n, sum) {bound}", sku.id);
+        }
     }
 
     #[test]

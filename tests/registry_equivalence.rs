@@ -8,9 +8,10 @@
 //!    to the per-pipeline training path (each engine trained directly,
 //!    requests assessed serially in submission order), at 1, 4, and 8
 //!    workers alike, and
-//! 3. make warm resolution dramatically cheaper than cold training (the
-//!    `registry_bench` bench quantifies this; here a coarse ≥ 10× guard
-//!    keeps the property from regressing silently).
+//! 3. make warm resolution dramatically cheaper than cold training (a
+//!    coarse ≥ 10× guard keeps the property from regressing silently;
+//!    perfbench's `fleet.resolve_mean_us` and `registry.*` layers track
+//!    resolution in a running fleet).
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -103,7 +103,9 @@ fn stream_through_service(
             aggregated: requests.len()
         }
     );
-    (results, service.shutdown())
+    let report = service.shutdown();
+    assert_eq!(report.fleet_size, requests.len(), "every streamed request is in the report");
+    (results, report)
 }
 
 #[test]
